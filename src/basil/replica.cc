@@ -980,7 +980,7 @@ void BasilReplica::ApplyDecision(TxnState& s, Decision decision, DecisionCertPtr
       }
     }
     std::lock_guard<std::mutex> lock(wal_mu_);
-    durable_->AppendCommit(rec, store_);
+    durable_->AppendCommit(rec);
   }
   if (s.txn != nullptr) {
     tracer_.Record(obs::Stage::kWbApply, s.txn->id, now() - t0);

@@ -88,10 +88,10 @@ struct BasilConfig {
   uint32_t state_chunk_entries = 32;
   uint64_t recovery_lookback_ns = 50'000'000;
   uint64_t recovery_retry_ns = 250'000'000;
-  // WAL snapshot cadence: committed records between snapshots.
+  // WAL roll cadence: committed records between rolls of the WAL into snapshot.bin.
   uint32_t wal_snapshot_every = 256;
-  // WAL fsync group-commit cadence: fdatasync the log once every N appends (and the
-  // snapshot before the WAL truncate). 0 = never sync — records survive process
+  // WAL fsync group-commit cadence: fdatasync the log once every N appends (and
+  // snapshot.bin before a roll's WAL truncate). 0 = never sync — records survive process
   // death (kernel page cache) but not OS crashes, the pre-group-commit behaviour.
   uint32_t wal_fsync_every = 0;
 

@@ -12,8 +12,8 @@
 // mutex. Every per-key operation locks exactly one partition (leaf lock: nothing is
 // acquired while holding it), so strand workers owning different key partitions
 // mutate the store concurrently. Cross-partition views (Snapshot, CommittedChains,
-// committed_key_count) lock partitions one at a time and merge deterministically —
-// the WAL snapshot payload is byte-identical for any partition count.
+// committed_key_count) lock partitions one at a time and merge deterministically,
+// so their output is identical for any partition count.
 //
 // Two accessor families:
 //   - Copy-out (CommittedBefore/Committed/PreparedBefore): return by value, safe
@@ -142,8 +142,8 @@ class VersionStore {
   std::vector<std::pair<Key, Value>> Snapshot() const;
 
   // Full committed version chains, sorted by key then timestamp (deterministic for
-  // any partition count): the snapshot payload of the durable layer
-  // (src/store/wal.h). Prepared writes, readers, and RTS are deliberately excluded —
+  // any partition count): what replicas are compared on to audit agreement and
+  // recovery (tests, benchmarks). Prepared writes, readers, and RTS are excluded —
   // they are protocol-transient and a restarted replica rebuilds them from live
   // traffic.
   struct KeyChain {

@@ -5,19 +5,13 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <tuple>
 
 namespace basil {
 namespace {
-
-// Snapshot body layout version; bumping it invalidates old snapshots (the loader
-// falls back to WAL-only replay).
-constexpr uint32_t kSnapshotVersion = 1;
 
 uint64_t WallNowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -211,62 +205,22 @@ DurableStore::DurableStore(WalMedia* media, uint32_t snapshot_every,
 
 DurableStore::ReplayStats DurableStore::Open(VersionStore* store) {
   ReplayStats stats;
-  LoadSnapshot(store, &stats);
-  ReplayWal(store, &stats);
+  // snapshot.bin and wal.bin are one log: the sealed segments, then the open one.
+  const Replayed sealed = ReplayFile(kSnapshotFile, store, nullptr);
+  const Replayed tail = ReplayFile(kWalFile, store, &segment_);
+  stats.snapshot_versions = sealed.writes;
+  stats.wal_records = tail.records;
+  stats.torn_bytes_discarded = sealed.torn_bytes + tail.torn_bytes;
+  records_since_snapshot_ = static_cast<uint32_t>(tail.records);
   return stats;
 }
 
-void DurableStore::LoadSnapshot(VersionStore* store, ReplayStats* stats) {
+DurableStore::Replayed DurableStore::ReplayFile(const char* name, VersionStore* store,
+                                                std::vector<uint8_t>* fresh) {
+  Replayed out;
   std::vector<uint8_t> bytes;
-  if (!media_->Read(kSnapshotFile, &bytes) || bytes.size() < 4) {
-    return;
-  }
-  const uint32_t crc = static_cast<uint32_t>(bytes[0]) | bytes[1] << 8 |
-                       bytes[2] << 16 | static_cast<uint32_t>(bytes[3]) << 24;
-  if (Crc32(bytes.data() + 4, bytes.size() - 4) != crc) {
-    return;  // Atomic replacement makes this near-impossible; treat as absent.
-  }
-  Decoder dec(bytes.data() + 4, bytes.size() - 4);
-  if (dec.GetU32() != kSnapshotVersion) {
-    return;
-  }
-  // Applied-writer set.
-  const uint64_t napplied = dec.GetVarint();
-  std::unordered_set<TxnDigest, TxnDigestHash> applied;
-  for (uint64_t i = 0; i < napplied && dec.ok(); ++i) {
-    applied.insert(dec.GetDigest());
-  }
-  Timestamp high = dec.GetTimestamp();
-  // Committed version chains.
-  const uint64_t nkeys = dec.GetVarint();
-  uint64_t versions = 0;
-  std::vector<std::tuple<Key, Timestamp, Value, TxnDigest>> restored;
-  for (uint64_t i = 0; i < nkeys && dec.ok(); ++i) {
-    const Key key = dec.GetString();
-    const uint64_t nvers = dec.GetVarint();
-    for (uint64_t j = 0; j < nvers && dec.ok(); ++j) {
-      const Timestamp ts = dec.GetTimestamp();
-      Value value = dec.GetString();
-      const TxnDigest writer = dec.GetDigest();
-      restored.emplace_back(key, ts, std::move(value), writer);
-      ++versions;
-    }
-  }
-  if (!dec.ok() || !dec.AtEnd()) {
-    return;  // Corrupt body despite the CRC: refuse the whole snapshot.
-  }
-  for (auto& [key, ts, value, writer] : restored) {
-    store->ApplyCommittedWrite(key, ts, std::move(value), writer);
-  }
-  applied_ = std::move(applied);
-  high_water_ = high;
-  stats->snapshot_versions = versions;
-}
-
-void DurableStore::ReplayWal(VersionStore* store, ReplayStats* stats) {
-  std::vector<uint8_t> bytes;
-  if (!media_->Read(kWalFile, &bytes)) {
-    return;
+  if (!media_->Read(name, &bytes)) {
+    return out;
   }
   size_t good = 0;  // Offset just past the last fully valid record.
   auto le32 = [&bytes](size_t at) {
@@ -288,17 +242,26 @@ void DurableStore::ReplayWal(VersionStore* store, ReplayStats* stats) {
     if (!body_dec.ok() || !body_dec.AtEnd()) {
       break;
     }
-    ApplyRecord(rec, store);
+    // A roll cut short before its WAL truncate leaves records in both files; the
+    // copy already replayed from snapshot.bin wins and is not sealed twice.
+    if (!applied_.contains(rec.writer)) {
+      ApplyRecord(rec, store);
+      if (fresh != nullptr) {
+        fresh->insert(fresh->end(), bytes.begin() + good,
+                      bytes.begin() + good + 8 + body_len);
+      }
+      ++out.records;
+      out.writes += rec.writes.size();
+    }
     good += 8 + body_len;
-    ++stats->wal_records;
   }
   if (good < bytes.size()) {
     // Truncate the torn tail so future appends extend a clean log.
-    stats->torn_bytes_discarded = bytes.size() - good;
+    out.torn_bytes = bytes.size() - good;
     bytes.resize(good);
-    media_->WriteAtomic(kWalFile, bytes);
+    media_->WriteAtomic(name, bytes);
   }
-  records_since_snapshot_ = static_cast<uint32_t>(stats->wal_records);
+  return out;
 }
 
 void DurableStore::ApplyRecord(const WalCommitRecord& rec, VersionStore* store) {
@@ -319,7 +282,7 @@ void DurableStore::BindMetrics(obs::MetricsRegistry* reg) {
   }
 }
 
-void DurableStore::AppendCommit(const WalCommitRecord& rec, const VersionStore& store) {
+void DurableStore::AppendCommit(const WalCommitRecord& rec) {
   if (applied_.contains(rec.writer)) {
     return;  // Re-delivered writeback or state-transfer duplicate.
   }
@@ -336,6 +299,7 @@ void DurableStore::AppendCommit(const WalCommitRecord& rec, const VersionStore& 
     // so a re-delivered writeback or a re-offered state entry can try again.
     return;
   }
+  segment_.insert(segment_.end(), frame.bytes().begin(), frame.bytes().end());
   applied_.insert(rec.writer);
   if (high_water_ < rec.ts) {
     high_water_ = rec.ts;
@@ -357,54 +321,38 @@ void DurableStore::AppendCommit(const WalCommitRecord& rec, const VersionStore& 
       metrics_->Observe(fsync_hist_, WallNowNs() - s0);
     }
   }
-  if (++records_since_snapshot_ >= snapshot_every_) {
-    TakeSnapshot(store);
+  if (++records_since_snapshot_ >= snapshot_every_ && !rolls_stopped_) {
+    Roll();
   }
   if (timed) {
     metrics_->Observe(append_hist_, WallNowNs() - t0);
   }
 }
 
-void DurableStore::TakeSnapshot(const VersionStore& store) {
-  Encoder body;
-  body.PutU32(kSnapshotVersion);
-  // Applied set, sorted for a deterministic encoding.
-  std::vector<TxnDigest> applied(applied_.begin(), applied_.end());
-  std::sort(applied.begin(), applied.end());
-  body.PutVarint(applied.size());
-  for (const TxnDigest& d : applied) {
-    body.PutDigest(d);
+void DurableStore::Roll() {
+  // Seal the open segment: its framed records move unchanged to the end of
+  // snapshot.bin, so a roll costs one segment whatever the store's size. A failed
+  // append may leave a partial record at snapshot.bin's tail, and every segment
+  // appended after it would be unreachable on replay; so any failure stops rolls
+  // until the next Open truncates that tail. The WAL keeps every record meanwhile.
+  if (!media_->Append(kSnapshotFile, segment_.data(), segment_.size())) {
+    rolls_stopped_ = true;
+    return;
   }
-  body.PutTimestamp(high_water_);
-  const auto chains = store.CommittedChains();
-  body.PutVarint(chains.size());
-  for (const auto& chain : chains) {
-    body.PutString(chain.key);
-    body.PutVarint(chain.versions.size());
-    for (const CommittedVersion& v : chain.versions) {
-      body.PutTimestamp(v.ts);
-      body.PutString(v.value);
-      body.PutDigest(v.writer);
-    }
-  }
-  Encoder file;
-  file.PutU32(Crc32(body.bytes().data(), body.bytes().size()));
-  file.Append(body);
-  if (!media_->WriteAtomic(kSnapshotFile, file.bytes())) {
-    return;  // Keep the WAL intact if the snapshot did not land.
-  }
-  // Order matters: the snapshot is durable before the WAL is truncated. A crash in
-  // between replays snapshot + full WAL, which is idempotent. With fsync enabled,
-  // "durable" must mean the device, not the page cache, before the log is cut — a
-  // failed snapshot sync keeps the WAL, the only durable copy of those records.
+  // Order matters: the sealed copy is durable before the WAL is truncated. A crash
+  // in between replays the segment from both files, and the second copy is skipped.
+  // With fsync enabled, "durable" must mean the device, not the page cache — a
+  // failed sync keeps the WAL, the only durable copy of those records.
   if (fsync_every_ > 0) {
     if (!media_->Sync(kSnapshotFile)) {
       ++fsync_failures_;
+      rolls_stopped_ = true;
       return;
     }
     ++fsyncs_;
   }
   media_->WriteAtomic(kWalFile, {});
+  segment_.clear();
   records_since_snapshot_ = 0;
   records_since_fsync_ = 0;
   ++snapshots_;

@@ -1,6 +1,7 @@
 // Durable layer under a replica's version store (docs/RECOVERY.md): an append-only
-// write-ahead log of committed writes plus periodic snapshots, and a replayer that
-// rebuilds the committed state of a VersionStore on restart.
+// write-ahead log of committed writes, rolled into a sealed snapshot file every few
+// hundred records, and a replayer that rebuilds the committed state of a
+// VersionStore on restart.
 //
 // The byte layer is abstracted behind WalMedia so the same WAL/snapshot logic runs on
 // real files (DiskMedia, used by tools/basil_node.cc) and on an in-memory fake
@@ -29,12 +30,12 @@
 
 namespace basil {
 
-// CRC-32 (ISO-HDLC polynomial) over `len` bytes; guards every WAL record and the
-// snapshot file against torn writes and bit rot.
+// CRC-32 (ISO-HDLC polynomial) over `len` bytes; guards every log record against
+// torn writes and bit rot.
 uint32_t Crc32(const uint8_t* data, size_t len);
 
 // Byte-level storage under the WAL: named append-only files with atomic whole-file
-// replacement (snapshots, torn-tail truncation).
+// replacement (WAL truncation after a roll, torn-tail truncation).
 class WalMedia {
  public:
   virtual ~WalMedia() = default;
@@ -108,26 +109,29 @@ struct WalCommitRecord {
 // The durable store: owns the WAL + snapshot files on a WalMedia and the replay
 // logic. One instance per replica process incarnation; Open() once before use.
 //
-// File layout (all under the media):
-//   wal.bin       records: [u32 body_len][u32 crc32(body)][body], appended per commit
-//   snapshot.bin  [u32 crc32(body)][body]; body = applied-writer set + full committed
-//                 version chains; rewritten atomically every `snapshot_every` appends,
-//                 after which wal.bin is truncated to empty
+// File layout (all under the media), one log split in two files:
+//   record        [u32 body_len][u32 crc32(body)][body], body = WalCommitRecord
+//   wal.bin       the open segment: records appended per commit
+//   snapshot.bin  the sealed segments: every `snapshot_every` appends, a roll appends
+//                 the WAL's records unchanged to this file (synced first when
+//                 `fsync_every` > 0), after which wal.bin is truncated to empty
 //
-// Replay = load snapshot (if present and its CRC holds), then apply the WAL tail.
-// A torn or corrupt record ends replay and truncates the WAL back to the last good
-// record, so a crash mid-append never poisons the log.
+// Replay = every record of snapshot.bin, then every record of wal.bin; the applied
+// set and high-water mark are rebuilt from the records themselves. A torn or corrupt
+// record ends that file's replay and truncates the file back to its last good
+// record, so a crash mid-append (or mid-roll) never poisons the log. Genesis rows
+// are not logged: the store's GenesisFn re-derives them.
 class DurableStore {
  public:
   struct ReplayStats {
-    uint64_t snapshot_versions = 0;    // Committed versions restored from snapshot.
+    uint64_t snapshot_versions = 0;    // Writes replayed from snapshot.bin.
     uint64_t wal_records = 0;          // Records replayed from the WAL tail.
-    uint64_t torn_bytes_discarded = 0; // Bytes truncated off a torn/corrupt tail.
+    uint64_t torn_bytes_discarded = 0; // Bytes truncated off torn/corrupt tails.
   };
 
   // `fsync_every` is the group-commit knob (BasilConfig::wal_fsync_every): 0 means
   // never sync (records survive process death only); N > 0 fdatasyncs the WAL once
-  // every N appends, and syncs snapshots before the WAL truncate that follows them.
+  // every N appends, and syncs snapshot.bin before each roll's WAL truncate.
   explicit DurableStore(WalMedia* media, uint32_t snapshot_every = 256,
                         uint32_t fsync_every = 0);
 
@@ -135,17 +139,17 @@ class DurableStore {
   // before any AppendCommit.
   ReplayStats Open(VersionStore* store);
 
-  // Logs one committed transaction; triggers a snapshot of `store` every
+  // Logs one committed transaction; rolls the WAL into snapshot.bin every
   // `snapshot_every` appends. No-op (and no duplicate record) if `rec.writer` was
   // already applied — re-delivered writebacks and state transfer stay idempotent.
-  void AppendCommit(const WalCommitRecord& rec, const VersionStore& store);
+  void AppendCommit(const WalCommitRecord& rec);
 
   bool HasApplied(const TxnDigest& writer) const { return applied_.contains(writer); }
   // Largest committed timestamp ever logged; the state-transfer request cursor.
   Timestamp high_water() const { return high_water_; }
 
   uint64_t appends() const { return appends_; }
-  uint64_t snapshots_taken() const { return snapshots_; }
+  uint64_t snapshots_taken() const { return snapshots_; }  // Rolls completed.
   uint64_t fsyncs() const { return fsyncs_; }
   uint64_t fsync_failures() const { return fsync_failures_; }
 
@@ -159,16 +163,24 @@ class DurableStore {
   static constexpr char kSnapshotFile[] = "snapshot.bin";
 
  private:
-  void LoadSnapshot(VersionStore* store, ReplayStats* stats);
-  void ReplayWal(VersionStore* store, ReplayStats* stats);
+  struct Replayed {
+    uint64_t records = 0;
+    uint64_t writes = 0;
+    uint64_t torn_bytes = 0;
+  };
+  // Replays `name`'s intact records into `store`, skipping writers already applied,
+  // and appends the framed bytes of the records it applied to `fresh` if non-null.
+  Replayed ReplayFile(const char* name, VersionStore* store, std::vector<uint8_t>* fresh);
   void ApplyRecord(const WalCommitRecord& rec, VersionStore* store);
-  void TakeSnapshot(const VersionStore& store);
+  void Roll();
 
   WalMedia* media_;
   const uint32_t snapshot_every_;
   const uint32_t fsync_every_;
   std::unordered_set<TxnDigest, TxnDigestHash> applied_;
   Timestamp high_water_{};
+  std::vector<uint8_t> segment_;  // Framed records of wal.bin not yet sealed.
+  bool rolls_stopped_ = false;    // A roll failed; resumes after the next Open.
   uint32_t records_since_snapshot_ = 0;
   uint32_t records_since_fsync_ = 0;
   uint64_t appends_ = 0;

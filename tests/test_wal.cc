@@ -1,8 +1,10 @@
 // Durable layer (src/store/wal.h): WAL replay rebuilds the version store, torn
-// writes truncate cleanly, snapshot+tail replay is equivalent to full replay, and
-// replay is deterministic (same log -> identical version store).
+// writes truncate cleanly, snapshot+tail replay is equivalent to full replay, a roll
+// costs one segment whatever the store's size, both crash windows of a roll reopen
+// to the live state, and replay is deterministic (same log -> identical store).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@ TxnDigest PatternDigest(uint8_t seed) {
 WalCommitRecord MakeRecord(uint32_t i) {
   WalCommitRecord rec;
   rec.writer = PatternDigest(static_cast<uint8_t>(i + 1));
+  rec.writer[31] ^= static_cast<uint8_t>(i >> 8);  // Distinct for i < 65536.
   rec.ts = Timestamp{100 + i, 1 + i % 3};
   rec.writes.emplace_back("k" + std::to_string(i % 4), "v" + std::to_string(i));
   if (i % 2 == 0) {
@@ -39,7 +42,7 @@ void BuildLog(DurableStore* durable, VersionStore* store, uint32_t n) {
     for (const auto& [key, value] : rec.writes) {
       store->ApplyCommittedWrite(key, rec.ts, value, rec.writer);
     }
-    durable->AppendCommit(rec, *store);
+    durable->AppendCommit(rec);
   }
 }
 
@@ -57,6 +60,61 @@ void ExpectSameChains(const VersionStore& a, const VersionStore& b) {
     }
   }
 }
+
+size_t FramedSize(const WalCommitRecord& rec) {
+  Encoder body;
+  rec.EncodeTo(body);
+  return 8 + body.size();  // u32 length + u32 crc + body.
+}
+
+// Framed bytes of MakeRecord(from) .. MakeRecord(to - 1).
+size_t FramedBytes(uint32_t from, uint32_t to) {
+  size_t total = 0;
+  for (uint32_t i = from; i < to; ++i) {
+    total += FramedSize(MakeRecord(i));
+  }
+  return total;
+}
+
+// Reopens a copy of `media` (leaving the original untouched) and expects the
+// replayed store, applied set and high-water mark to match the live ones.
+DurableStore::ReplayStats ExpectReopensTo(const MemMedia& media, uint32_t snapshot_every,
+                                          const VersionStore& live,
+                                          const DurableStore& live_durable,
+                                          uint32_t records) {
+  MemMedia copy = media;
+  DurableStore reopened(&copy, snapshot_every);
+  VersionStore restored;
+  const DurableStore::ReplayStats stats = reopened.Open(&restored);
+  ExpectSameChains(live, restored);
+  for (uint32_t i = 0; i < records; ++i) {
+    EXPECT_TRUE(reopened.HasApplied(MakeRecord(i).writer)) << i;
+  }
+  EXPECT_EQ(reopened.high_water(), live_durable.high_water());
+  return stats;
+}
+
+// MemMedia with the two ways a roll can be cut short by a crash: the WAL truncate
+// never lands, or the append to snapshot.bin lands only half its bytes.
+class CrashingMedia : public MemMedia {
+ public:
+  bool drop_wal_truncate = false;
+  bool tear_snapshot_append = false;
+
+  bool Append(const std::string& name, const uint8_t* data, size_t len) override {
+    if (tear_snapshot_append && name == DurableStore::kSnapshotFile) {
+      MemMedia::Append(name, data, len / 2);
+      return false;
+    }
+    return MemMedia::Append(name, data, len);
+  }
+  bool WriteAtomic(const std::string& name, const std::vector<uint8_t>& bytes) override {
+    if (drop_wal_truncate && name == DurableStore::kWalFile) {
+      return true;
+    }
+    return MemMedia::WriteAtomic(name, bytes);
+  }
+};
 
 TEST(Wal, ReplayRebuildsStore) {
   MemMedia media;
@@ -111,7 +169,7 @@ TEST(Wal, TornWriteTruncatesTailOnReplay) {
   for (const auto& [key, value] : again.writes) {
     restored.ApplyCommittedWrite(key, again.ts, value, again.writer);
   }
-  durable.AppendCommit(again, restored);
+  durable.AppendCommit(again);
 
   DurableStore reopened(&media, 1000);
   VersionStore final_store;
@@ -190,8 +248,8 @@ TEST(Wal, DuplicateCommitsAreLoggedOnce) {
   VersionStore store;
   durable.Open(&store);
   const WalCommitRecord rec = MakeRecord(0);
-  durable.AppendCommit(rec, store);
-  durable.AppendCommit(rec, store);  // Re-delivered writeback.
+  durable.AppendCommit(rec);
+  durable.AppendCommit(rec);  // Re-delivered writeback.
   EXPECT_EQ(durable.appends(), 1u);
 
   DurableStore reopened(&media, 1000);
@@ -253,6 +311,119 @@ TEST(Wal, FsyncCoversSnapshotBeforeWalTruncate) {
   EXPECT_EQ(stats.wal_records, 0u);
   EXPECT_GT(stats.snapshot_versions, 0u);
   ExpectSameChains(store, restored);
+}
+
+TEST(Wal, RollAppendsExactlyTheWalSegment) {
+  // Many distinct keys and a small roll interval: each roll must append exactly the
+  // bytes the WAL held, so snapshot.bin is the sum of the framed records however
+  // large the store grows, and the log must replay to the live store after every
+  // roll.
+  constexpr uint32_t kEvery = 64;
+  constexpr uint32_t kRecords = 2048;
+  MemMedia media;
+  DurableStore durable(&media, kEvery);
+  VersionStore empty;
+  durable.Open(&empty);
+  VersionStore live;
+  size_t framed_total = 0;
+  for (uint32_t i = 0; i < kRecords; ++i) {
+    WalCommitRecord rec = MakeRecord(i);
+    rec.writes.emplace_back("distinct" + std::to_string(i), "d" + std::to_string(i));
+    for (const auto& [key, value] : rec.writes) {
+      live.ApplyCommittedWrite(key, rec.ts, value, rec.writer);
+    }
+    const size_t snap_before = media.file(DurableStore::kSnapshotFile).size();
+    const size_t wal_held = media.file(DurableStore::kWalFile).size() + FramedSize(rec);
+    framed_total += FramedSize(rec);
+    const uint64_t rolls_before = durable.snapshots_taken();
+    durable.AppendCommit(rec);
+    if (durable.snapshots_taken() == rolls_before) {
+      EXPECT_EQ(media.file(DurableStore::kSnapshotFile).size(), snap_before);
+      EXPECT_EQ(media.file(DurableStore::kWalFile).size(), wal_held);
+      continue;
+    }
+    EXPECT_TRUE(media.file(DurableStore::kWalFile).empty());
+    EXPECT_EQ(media.file(DurableStore::kSnapshotFile).size() - snap_before, wal_held)
+        << "roll " << durable.snapshots_taken();
+    const DurableStore::ReplayStats stats =
+        ExpectReopensTo(media, kEvery, live, durable, i + 1);
+    EXPECT_EQ(stats.wal_records, 0u);
+    EXPECT_EQ(stats.torn_bytes_discarded, 0u);
+  }
+  EXPECT_EQ(durable.snapshots_taken(), kRecords / kEvery);
+  EXPECT_EQ(media.file(DurableStore::kSnapshotFile).size(), framed_total);
+}
+
+TEST(Wal, RollCutBeforeWalTruncateReplaysOnce) {
+  // Crash window (a): the segment reached snapshot.bin but the WAL truncate did
+  // not, so both files hold it. Replay applies it once, and later rolls do not seal
+  // it a second time.
+  CrashingMedia media;
+  VersionStore live;
+  DurableStore durable(&media, /*snapshot_every=*/8);
+  VersionStore empty;
+  durable.Open(&empty);
+  BuildLog(&durable, &live, 12);  // One clean roll, then four records in the WAL.
+  media.drop_wal_truncate = true;
+  BuildLog(&durable, &live, 16);  // Re-delivered 0..11 are no-ops; 12..15 roll.
+  media.drop_wal_truncate = false;
+  ASSERT_EQ(durable.snapshots_taken(), 2u);
+  const std::vector<uint8_t>& sealed = media.file(DurableStore::kSnapshotFile);
+  const std::vector<uint8_t>& wal = media.file(DurableStore::kWalFile);
+  ASSERT_EQ(wal.size(), FramedBytes(8, 16));
+  ASSERT_TRUE(std::equal(wal.begin(), wal.end(), sealed.end() - wal.size()));
+
+  const DurableStore::ReplayStats stats = ExpectReopensTo(media, 8, live, durable, 16);
+  EXPECT_EQ(stats.wal_records, 0u);  // Every WAL record was already sealed.
+  EXPECT_EQ(stats.torn_bytes_discarded, 0u);
+
+  DurableStore reopened(&media, 8);
+  VersionStore restored;
+  reopened.Open(&restored);
+  BuildLog(&reopened, &restored, 24);
+  EXPECT_EQ(reopened.snapshots_taken(), 1u);
+  EXPECT_TRUE(media.file(DurableStore::kWalFile).empty());
+  EXPECT_EQ(media.file(DurableStore::kSnapshotFile).size(), FramedBytes(0, 24));
+  ExpectReopensTo(media, 8, restored, reopened, 24);
+}
+
+TEST(Wal, TornRollAppendTruncatesSnapshotTail) {
+  // Crash window (b): the roll's append to snapshot.bin tore halfway through the
+  // segment. Replay keeps the whole records before the tear, discards the rest of
+  // snapshot.bin as a torn tail, and takes the remaining records from the WAL.
+  CrashingMedia media;
+  VersionStore live;
+  DurableStore durable(&media, /*snapshot_every=*/8);
+  VersionStore empty;
+  durable.Open(&empty);
+  BuildLog(&durable, &live, 12);
+  media.tear_snapshot_append = true;
+  BuildLog(&durable, &live, 20);  // 12..15 would roll; the append tears.
+  media.tear_snapshot_append = false;
+  EXPECT_EQ(durable.snapshots_taken(), 1u);  // Rolls stay off until the next Open.
+  const size_t torn_size = media.file(DurableStore::kSnapshotFile).size();
+  ASSERT_EQ(torn_size, FramedBytes(0, 8) + FramedBytes(8, 16) / 2);
+
+  const DurableStore::ReplayStats stats = ExpectReopensTo(media, 8, live, durable, 20);
+  EXPECT_GT(stats.torn_bytes_discarded, 0u);
+  EXPECT_GT(stats.wal_records, 0u);
+  EXPECT_LT(stats.wal_records, 12u);  // Records 8.. before the tear were sealed.
+  EXPECT_EQ(torn_size - stats.torn_bytes_discarded,
+            FramedBytes(0, 8 + 12 - stats.wal_records));
+
+  // Opening truncates the torn tail on the media too, and rolls resume without
+  // sealing any record twice.
+  DurableStore reopened(&media, 8);
+  VersionStore restored;
+  EXPECT_EQ(reopened.Open(&restored).torn_bytes_discarded, stats.torn_bytes_discarded);
+  EXPECT_EQ(media.file(DurableStore::kSnapshotFile).size(),
+            torn_size - stats.torn_bytes_discarded);
+  BuildLog(&reopened, &restored, 32);
+  EXPECT_GT(reopened.snapshots_taken(), 0u);
+  EXPECT_EQ(media.file(DurableStore::kSnapshotFile).size() +
+                media.file(DurableStore::kWalFile).size(),
+            FramedBytes(0, 32));
+  ExpectReopensTo(media, 8, restored, reopened, 32);
 }
 
 TEST(Wal, EmptyMediaOpensClean) {

@@ -268,6 +268,8 @@ int RunReplica(const DeployConfig& cfg, TcpRuntime& rt, const Topology& topo,
                                              cfg.basil.wal_fsync_every);
     const DurableStore::ReplayStats stats = durable->Open(&replica.store());
     replica.AttachDurable(durable.get());
+    // snapshot= counts writes replayed from snapshot.bin, wal= records replayed from
+    // the WAL tail (run_tcp_cluster.sh requires their sum > 0 after a restart).
     std::printf("REPLAY snapshot=%llu wal=%llu torn=%llu\n",
                 static_cast<unsigned long long>(stats.snapshot_versions),
                 static_cast<unsigned long long>(stats.wal_records),
