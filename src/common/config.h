@@ -91,8 +91,9 @@ struct BasilConfig {
   // WAL roll cadence: committed records between rolls of the WAL into snapshot.bin.
   uint32_t wal_snapshot_every = 256;
   // WAL fsync group-commit cadence: fdatasync the log once every N appends (and
-  // snapshot.bin before a roll's WAL truncate). 0 = never sync — records survive process
-  // death (kernel page cache) but not OS crashes, the pre-group-commit behaviour.
+  // snapshot.bin before a roll's WAL truncate). 0 = never sync — records survive
+  // process death (kernel page cache) but not OS crashes, the pre-group-commit
+  // behaviour.
   uint32_t wal_fsync_every = 0;
 
   // Parallel execution pipeline (docs/TRANSPORT.md): route heavy per-transaction
