@@ -2,14 +2,14 @@
 // deploys one Basil shard (f=1, 6 replicas) plus closed-loop clients as TcpRuntimes
 // in this process — real threads, real TCP frames, real HMAC/Merkle crypto — and
 // measures commits/sec as the per-node worker count N sweeps {1, 2, 4, 8}. Each row
-// also reports where signature checks ran (crypto pool vs. event loop) and the
-// simulator's k-worker prediction for the same N, the model this refactor is chasing.
+// also reports how many signature checks the crypto pool ran and the simulator's
+// k-worker prediction for the same N, the model the TCP backend is chasing.
 //
 //   bench_tcp_throughput [--smoke] [--clients C] [--duration-ms D] [--out PATH]
 //
 // --smoke (CI, ctest `tcp_throughput_smoke`): N=2 only, short duration, exits
-// nonzero unless transactions committed and every signature check ran on the crypto
-// pool — the regression guard for the parallel path.
+// nonzero unless transactions committed, signature checks ran on the crypto pool and
+// handler work ran on the strands — the regression guard for the parallel path.
 //
 // Every run (smoke included) also writes a "basil-bench-v1" artifact (default
 // BENCH_tcp_throughput.json) with the sweep rows plus per-stage latency
@@ -84,12 +84,10 @@ Task<void> DriveUntilStopped(BasilClient* client, uint32_t keyspace,
 
 struct Row {
   uint32_t workers = 0;
-  uint32_t partitions = 0;
   double tcp_tps = 0;
   uint64_t committed = 0;
   uint64_t attempts = 0;
   uint64_t offloaded = 0;
-  uint64_t inline_checks = 0;
   uint64_t posted = 0;       // Strand tasks: partitioned handlers leaving the loop.
   double depth_p99 = 0;      // Worst per-partition strand queue depth p99.
   double sim_tps = 0;
@@ -182,7 +180,6 @@ bool MeasureTcp(const BenchOptions& opt, uint32_t workers, uint16_t port_base,
         [st = &states[i]]() { return st->stopped; }, 20'000'000'000ull);
   }
   row->workers = workers;
-  row->partitions = basil.exec_partitions;
   for (const ClientState& st : states) {
     row->committed += st.committed;
     row->attempts += st.attempts;
@@ -191,7 +188,6 @@ bool MeasureTcp(const BenchOptions& opt, uint32_t workers, uint16_t port_base,
                  static_cast<double>(opt.duration_ms);
   for (auto& rt : replica_rts) {
     row->offloaded += rt->offloaded_checks();
-    row->inline_checks += rt->inline_checks();
     row->posted += rt->posted_tasks();
     row->depth_p99 = std::max(row->depth_p99, MaxStrandDepthP99(rt->metrics(), workers));
   }
@@ -277,8 +273,8 @@ int Main(int argc, char** argv) {
       "%llu ms per point, %ld host core(s)\n",
       opt.clients, static_cast<unsigned long long>(opt.duration_ms), host_cores);
   std::printf(
-      "  %-8s %6s %12s %10s %16s %14s %10s %14s\n", "workers", "parts", "tcp_tps",
-      "commits", "offloaded_sigs", "loop_sigs", "depth_p99", "sim_tps");
+      "  %-8s %12s %10s %16s %10s %14s\n", "workers", "tcp_tps", "commits",
+      "offloaded_sigs", "depth_p99", "sim_tps");
 
   BenchJson artifact("tcp_throughput");
   artifact.AddParam("smoke", static_cast<uint64_t>(opt.smoke ? 1 : 0));
@@ -298,11 +294,9 @@ int Main(int argc, char** argv) {
       return 1;
     }
     row.sim_tps = SimPrediction(opt, sweep[n]);
-    std::printf("  %-8u %6u %12.1f %10llu %16llu %14llu %10.1f %14.1f\n",
-                row.workers, row.partitions, row.tcp_tps,
-                static_cast<unsigned long long>(row.committed),
-                static_cast<unsigned long long>(row.offloaded),
-                static_cast<unsigned long long>(row.inline_checks), row.depth_p99,
+    std::printf("  %-8u %12.1f %10llu %16llu %10.1f %14.1f\n", row.workers,
+                row.tcp_tps, static_cast<unsigned long long>(row.committed),
+                static_cast<unsigned long long>(row.offloaded), row.depth_p99,
                 row.sim_tps);
     std::fflush(stdout);
 
@@ -315,8 +309,6 @@ int Main(int argc, char** argv) {
                                       : 0;
     artifact.AddRow("workers=" + std::to_string(row.workers), rr);
     artifact.AddParam("sim_tps_w" + std::to_string(row.workers), row.sim_tps);
-    artifact.AddParam("partitions_w" + std::to_string(row.workers),
-                      static_cast<uint64_t>(row.partitions));
     artifact.AddParam("depth_p99_w" + std::to_string(row.workers), row.depth_p99);
     artifact.AddParam("posted_w" + std::to_string(row.workers), row.posted);
     const double hit_rate =
@@ -337,26 +329,23 @@ int Main(int argc, char** argv) {
     artifact.WriteFile(opt.out);
   }
 
-  // Regression guard (both modes): work must flow, and with workers > 0 every
-  // replica-side signature check must have run on the crypto pool, not the loop.
+  // Regression guard (both modes): work must flow, replica-side signature checks
+  // must run on the crypto pool and handlers on the strands.
   for (const Row& row : rows) {
     if (row.committed == 0) {
       std::fprintf(stderr, "FAIL: workers=%u committed nothing\n", row.workers);
       return 1;
     }
-    if (row.workers > 0 && (row.offloaded == 0 || row.inline_checks > 0)) {
-      std::fprintf(stderr,
-                   "FAIL: workers=%u ran %llu signature checks on the event loop "
-                   "(%llu offloaded)\n",
-                   row.workers, static_cast<unsigned long long>(row.inline_checks),
-                   static_cast<unsigned long long>(row.offloaded));
+    if (row.offloaded == 0) {
+      std::fprintf(stderr, "FAIL: workers=%u offloaded no signature checks\n",
+                   row.workers);
       return 1;
     }
-    if (row.workers > 0 && row.partitions > 0 && row.posted == 0) {
+    if (row.posted == 0) {
       std::fprintf(stderr,
-                   "FAIL: workers=%u partitions=%u but no handler work was posted "
-                   "to the strands — partitioned execution never left the loop\n",
-                   row.workers, row.partitions);
+                   "FAIL: workers=%u but no handler work was posted to the strands "
+                   "— partitioned execution never left the loop\n",
+                   row.workers);
       return 1;
     }
     // Allocation-lean guards: steady-state traffic must run out of the pool (hit
@@ -366,7 +355,7 @@ int Main(int argc, char** argv) {
                    row.workers, static_cast<unsigned long long>(row.dropped));
       return 1;
     }
-    if (BufferPool::PoolingEnabled() && row.pool_hits + row.pool_misses > 0) {
+    if (row.pool_hits + row.pool_misses > 0) {
       const double hit_rate = static_cast<double>(row.pool_hits) /
                               static_cast<double>(row.pool_hits + row.pool_misses);
       if (hit_rate <= 0.95) {

@@ -16,7 +16,7 @@ The baseline maps each bench name to floors/ceilings and relative bands:
         "bands": {"tput_tps": {"center": 365, "tolerance": 0.35}},
         "max_stage_p95_ms": {"wal.fsync_ns": 250.0}}}}
 
-Two kinds of bound:
+Three kinds of bound:
 
   - Absolute floors/ceilings (min_*, max_row_p99_ms, max_stage_p95_ms): for
     metrics dominated by
@@ -24,6 +24,8 @@ Two kinds of bound:
     regressions only. For the metrics the parallel pipeline improves (queue waits,
     commit spans) the committed ceilings are baseline p95 * 1.35 — a +35% regression
     fails the gate.
+  - Positive row fields (require_positive_row_fields): every row's named field
+    must be > 0. A field that reads 0 means the artifact stopped exporting it.
   - Bands: value must stay within center*(1 - tolerance) .. center*(1 + tolerance)
     of the committed baseline. "one_sided": true drops the upper check for metrics
     that legitimately scale with host cores (throughput on a bigger runner is an
@@ -81,6 +83,12 @@ def gate_artifact(path, gates, msgs):
             elif p99 > ceiling:
                 fail(msgs, f"{bench}: row '{label}' p99 {p99:.2f} ms > "
                            f"ceiling {ceiling} ms")
+
+    for field in gate.get("require_positive_row_fields", []):
+        for r in rows:
+            if r.get(field, 0) <= 0:
+                fail(msgs, f"{bench}: row '{r.get('label', '?')}' has "
+                           f"{field} <= 0 (not exported)")
 
     for metric, band in gate.get("bands", {}).items():
         if metric == "tput_tps":

@@ -18,13 +18,10 @@
 #   metrics_merge: path to the aggregator binary ("" skips the BENCH artifact).
 #   --txns N              transactions the client must commit (default 1000).
 #   --workers W           strand + crypto pool threads per node (--workers,
-#                         docs/TRANSPORT.md). Default 2.
+#                         docs/TRANSPORT.md); replicas run one execution-state
+#                         partition per worker. Default 2.
 #   --metrics-interval S  periodic snapshot cadence in seconds (default 0 = only
 #                         at shutdown / SIGUSR1).
-#   --partitions P        execution-state partitions per replica (--partitions,
-#                         docs/TRANSPORT.md "Partitioned execution state").
-#                         Defaults to --workers; 0 keeps the legacy loop-owned
-#                         state.
 #   --gateway             run the client behind the session gateway
 #                         (docs/TRANSPORT.md "Session gateway"): --sessions
 #                         logical sessions multiplexed over --lanes connections
@@ -33,7 +30,7 @@
 #   --lanes K             gateway mode: connections per replica (default 2).
 set -u
 
-USAGE="usage: run_tcp_cluster.sh <basil_node binary> [metrics_merge] [--txns N] [--workers W] [--metrics-interval S] [--partitions P] [--gateway] [--sessions N] [--lanes K]"
+USAGE="usage: run_tcp_cluster.sh <basil_node binary> [metrics_merge] [--txns N] [--workers W] [--metrics-interval S] [--gateway] [--sessions N] [--lanes K]"
 BASIL_NODE="${1:?$USAGE}"
 METRICS_MERGE="${2:-}"
 if [ "$#" -ge 2 ]; then shift 2; else shift "$#"; fi
@@ -41,7 +38,6 @@ if [ "$#" -ge 2 ]; then shift 2; else shift "$#"; fi
 TXNS=1000
 WORKERS=2
 METRICS_INTERVAL=0
-PARTITIONS=""
 GATEWAY=0
 SESSIONS=4
 LANES=2
@@ -50,14 +46,12 @@ while [ "$#" -gt 0 ]; do
     --txns) TXNS="${2:?$USAGE}"; shift 2 ;;
     --workers) WORKERS="${2:?$USAGE}"; shift 2 ;;
     --metrics-interval) METRICS_INTERVAL="${2:?$USAGE}"; shift 2 ;;
-    --partitions) PARTITIONS="${2:?$USAGE}"; shift 2 ;;
     --gateway) GATEWAY=1; shift ;;
     --sessions) SESSIONS="${2:?$USAGE}"; shift 2 ;;
     --lanes) LANES="${2:?$USAGE}"; shift 2 ;;
     *) echo "unknown flag: $1"; echo "$USAGE"; exit 1 ;;
   esac
 done
-PARTITIONS="${PARTITIONS:-$WORKERS}"
 # Recovery has a fixed wall-clock floor (~1 s: peers' reconnect backoff toward the
 # restarted node), and commits landing before the RECOVERED print do not count as
 # rejoin participation. Short smoke runs (< 600 txns) finish inside that floor, so
@@ -105,7 +99,7 @@ DATA_DIR="$WORKDIR/data"
 metrics_path() { echo "$WORKDIR/metrics_node$1.json"; }
 for i in 0 1 2 3 4 5; do
   "$BASIL_NODE" --config "$CFG" --id "$i" --data-dir "$DATA_DIR" \
-    --workers "$WORKERS" --partitions "$PARTITIONS" \
+    --workers "$WORKERS" \
     --metrics-out "$(metrics_path "$i")" \
     --metrics-interval "$METRICS_INTERVAL" > "$WORKDIR/replica$i.log" 2>&1 &
   PIDS+=($!)
@@ -118,7 +112,7 @@ for i in 0 1 2 3 4 5; do
     sleep 0.1
   done
   if ! grep -q READY "$WORKDIR/replica$i.log"; then
-    echo "FAIL: replica $i did not become ready (workers=$WORKERS partitions=$PARTITIONS)"
+    echo "FAIL: replica $i did not become ready (workers=$WORKERS)"
     cat "$WORKDIR/replica$i.log"
     exit 1
   fi
@@ -145,7 +139,7 @@ check_replicas_alive() {
   for i in 0 1 2 3 4; do
     pid="${PIDS[$i]}"
     if ! kill -0 "$pid" 2>/dev/null; then
-      echo "FAIL: replica $i (pid $pid) exited before the run finished (workers=$WORKERS partitions=$PARTITIONS)"
+      echo "FAIL: replica $i (pid $pid) exited before the run finished (workers=$WORKERS)"
       echo "     final metrics snapshot (if written): $(metrics_path "$i")"
       echo "-- replica$i.log --"; tail -10 "$WORKDIR/replica$i.log"
       exit 1
@@ -188,7 +182,7 @@ while kill -0 "$CLIENT_PID" 2>/dev/null; do
      [ "$COMMITTED" -ge "$RESTART_AT" ]; then
     echo "== restarting replica 5 at ~$COMMITTED commits =="
     "$BASIL_NODE" --config "$CFG" --id 5 --data-dir "$DATA_DIR" \
-      --workers "$WORKERS" --partitions "$PARTITIONS" \
+      --workers "$WORKERS" \
       --metrics-out "$(metrics_path 5)" \
       --metrics-interval "$METRICS_INTERVAL" > "$WORKDIR/replica5b.log" 2>&1 &
     RESTART_PID=$!
@@ -316,5 +310,5 @@ if [ -n "$METRICS_MERGE" ] && [ -x "$METRICS_MERGE" ]; then
   fi
 fi
 
-echo "PASS: $TXNS transactions committed over TCP (workers=$WORKERS partitions=$PARTITIONS); replica 5 was killed, restarted from its WAL, recovered via state transfer, and participated in $REJOIN_COMMITS post-recovery commits"
+echo "PASS: $TXNS transactions committed over TCP (workers=$WORKERS); replica 5 was killed, restarted from its WAL, recovered via state transfer, and participated in $REJOIN_COMMITS post-recovery commits"
 exit 0

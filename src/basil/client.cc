@@ -899,8 +899,7 @@ void BasilClient::OnReadReply(std::shared_ptr<const ReadReplyMsg> msg) {
       return;  // Stale or duplicate: not worth a signature check.
     }
   }
-  VerifyThen(
-      cfg_->parallel_pipeline,
+  Verify1(
       [this, msg](CostMeter& m) {
         return verifier_.Verify(msg->Digest(), msg->batch_cert, &m);
       },
@@ -939,8 +938,7 @@ void BasilClient::OnSt1Reply(std::shared_ptr<const St1ReplyMsg> msg) {
     }
   }
   const ShardId shard = topo_->ShardOfReplicaNode(msg->vote.replica);
-  VerifyThen(
-      cfg_->parallel_pipeline,
+  Verify1(
       [this, msg](CostMeter& m) {
         return verifier_.Verify(msg->vote.Digest(), msg->vote.cert, &m);
       },
@@ -986,8 +984,7 @@ void BasilClient::OnSt1Reply(std::shared_ptr<const St1ReplyMsg> msg) {
         probe->kind = DecisionCert::Kind::kConflict;
         probe->conflict_txn = msg->conflict_txn;
         probe->conflict_cert = msg->conflict_cert;
-        VerifyThen(
-            cfg_->parallel_pipeline,
+        Verify1(
             [this, probe, body = ctx.body](CostMeter& m) {
               return validator_.ValidateDecisionCert(*probe, body.get(), verifier_,
                                                      &m);
@@ -1017,8 +1014,7 @@ void BasilClient::OnSt2Reply(std::shared_ptr<const St2ReplyMsg> msg) {
   if (!active_prepares_.contains(msg->ack.txn)) {
     return;
   }
-  VerifyThen(
-      cfg_->parallel_pipeline,
+  Verify1(
       [this, msg](CostMeter& m) {
         return verifier_.Verify(msg->ack.Digest(), msg->ack.cert, &m);
       },

@@ -150,7 +150,7 @@ class BasilClient : public Process, public SystemClient, public TxnSession {
   Task<TxnOutcome> CommitByzantine(TxnPtr body, FaultMode mode);
 
   // Message plumbing. Reply handlers verify replica batch signatures through the
-  // runtime's crypto pool (Process::VerifyThen), so they take their message by
+  // runtime's crypto pool (Process::Verify1), so they take their message by
   // shared_ptr and finish in a continuation that re-validates its context.
   void OnReadReply(std::shared_ptr<const ReadReplyMsg> msg);
   void OnSt1Reply(std::shared_ptr<const St1ReplyMsg> msg);

@@ -41,24 +41,7 @@ const BasilReplica::TxnState* BasilReplica::FindState(const TxnDigest& digest) c
 }
 
 void BasilReplica::RunOnPart(size_t part, std::function<void()> fn) {
-  if (!partitioned()) {
-    fn();
-    return;
-  }
   Post(static_cast<StrandKey>(part), [fn = std::move(fn)](CostMeter&) { fn(); });
-}
-
-void BasilReplica::VerifyOnHome(size_t part, VerifyFn check,
-                                std::function<void(bool)> then) {
-  if (!partitioned()) {
-    VerifyThen(cfg_->parallel_pipeline, std::move(check), std::move(then));
-    return;
-  }
-  if (!cfg_->parallel_pipeline) {
-    then(check(meter()));
-    return;
-  }
-  Verify1On(static_cast<StrandKey>(part), std::move(check), std::move(then));
 }
 
 std::optional<Vote> BasilReplica::VoteFor(const TxnDigest& txn) const {
@@ -235,26 +218,13 @@ void BasilReplica::OnSt1(NodeId src, std::shared_ptr<const St1Msg> msg) {
     return;
   }
   // The body must hash to its claimed digest — every downstream structure (votes,
-  // certificates, version chains) is keyed by it. The hash is the heavy, pure part
-  // of ST1 intake: it runs on the strand of the claimed digest (serialized per
-  // transaction, parallel across transactions on the TCP backend; inline and
-  // cost-free on the simulator, whose ST1 bodies are shared pointers that were
-  // hashed at Finalize time), then intake continues in the handler context.
-  if (partitioned()) {
-    // Partitioned mode: hash and the full intake run on the owning strand — one
-    // hop, end-to-end, nothing returns to the loop.
-    RunOnPart(PartOfDigest(msg->txn->id), [this, src, msg]() {
-      const uint64_t t0 = now();
-      if (!St1BodyDigestOk(*msg)) {
-        counters_.Inc("st1_bad_digest");
-        return;
-      }
-      tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-      St1Arrived(src, msg);
-    });
-    return;
-  }
-  if (!cfg_->parallel_pipeline) {
+  // certificates, version chains) is keyed by it. The hash and the full intake run
+  // on the owning strand — one hop, end-to-end, nothing returns to the loop (inline
+  // and cost-free on the simulator, whose ST1 bodies are shared pointers that were
+  // hashed at Finalize time).
+  RunOnPart(PartOfDigest(msg->txn->id), [this, src, msg]() {
+    // Wall duration of the strand-side hash (0 on the simulator, whose clock stands
+    // still within one work item). now() is thread-safe on both backends.
     const uint64_t t0 = now();
     if (!St1BodyDigestOk(*msg)) {
       counters_.Inc("st1_bad_digest");
@@ -262,25 +232,7 @@ void BasilReplica::OnSt1(NodeId src, std::shared_ptr<const St1Msg> msg) {
     }
     tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
     St1Arrived(src, msg);
-    return;
-  }
-  auto body_ok = std::make_shared<bool>(false);
-  Post(
-      StrandOfDigest(msg->txn->id),
-      [this, msg, body_ok](CostMeter&) {
-        // Wall duration of the strand-side hash (0 on the simulator, whose clock
-        // stands still within one work item). now() is thread-safe on both backends.
-        const uint64_t t0 = now();
-        *body_ok = St1BodyDigestOk(*msg);
-        tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-      },
-      [this, src, msg, body_ok]() {
-        if (!*body_ok) {
-          counters_.Inc("st1_bad_digest");
-          return;
-        }
-        St1Arrived(src, msg);
-      });
+  });
 }
 
 void BasilReplica::St1Arrived(NodeId src, const std::shared_ptr<const St1Msg>& msg) {
@@ -809,11 +761,6 @@ void BasilReplica::FlushBatch() {
     }
     counters_.Inc("batches_flushed");
   };
-  if (!cfg_->parallel_pipeline) {
-    seal(meter());
-    send_all();
-    return;
-  }
   Post(seq, std::move(seal), std::move(send_all));
 }
 
@@ -849,9 +796,9 @@ void BasilReplica::St2OnOwner(NodeId src, const std::shared_ptr<const St2Msg>& m
   // The justification validates quorums of signed prepare votes — the heaviest
   // verification a replica does. It runs on the crypto pool (TCP) or inline (sim);
   // the continuation re-checks the guards, because the state may have advanced while
-  // the signatures were being checked. In partitioned mode the verdict returns to
-  // this transaction's owning strand, not the loop.
-  VerifyOnHome(
+  // the signatures were being checked. The verdict returns to this transaction's
+  // owning strand, not the loop.
+  Verify1On(
       PartOfDigest(msg->txn),
       [this, msg](CostMeter& m) {
         const uint64_t t0 = now();
@@ -907,7 +854,7 @@ void BasilReplica::WritebackOnOwner(const std::shared_ptr<const WritebackMsg>& m
   // C-CERT/A-CERT validation verifies a quorum of signed votes or acks: crypto-pool
   // work. The body pointer is pinned here; the continuation re-fetches the state
   // (another writeback may have decided the transaction while this one verified).
-  VerifyOnHome(
+  Verify1On(
       PartOfDigest(msg->cert->txn),
       [this, msg, body = s.txn](CostMeter& m) {
         const uint64_t t0 = now();

@@ -3,19 +3,18 @@
 // writebacks, and participates in per-transaction fallback elections. Outgoing signed
 // replies are batched per §4.4.
 //
-// Partitioned execution state (docs/TRANSPORT.md "Partitioned state"): with
-// cfg->exec_partitions > 0 the TxnState map is sharded by txn digest into P
+// Partitioned execution state (docs/TRANSPORT.md "Partitioned execution state"): the
+// TxnState map is sharded by txn digest into cfg->exec_partitions (P >= 1)
 // partitions, each owned by the strand that StrandOfDigest routes to, and every
 // handler runs end-to-end on its transaction's owning strand (the event loop is
 // reduced to demux + send). Partition shards follow the actor model — no locks; a
 // shard is touched only from its owning strand, and cross-partition interactions
 // (dependency checks, conflict-certificate fetches, state transfer) are posted hops
-// between strands. Because Runtime::Post runs inline on the simulator, both modes
-// execute the identical sequential operation order there, so simulated results are
-// bit-identical with partitioning on or off (tests/test_strands.cc pins this).
+// between strands. Because Runtime::Post runs inline on the simulator, every P
+// executes the identical sequential operation order there, so simulated results are
+// bit-identical for any partition count (tests/test_strands.cc pins this).
 // Shared facilities that serve every partition stay mutex-guarded: the reply batch
-// (batch composition must match the loop-owned original), the WAL, and the recovery
-// bookkeeping. Lock hierarchy: owning strand -> batch/wal/recovery mutex ->
+// (one batch spans partitions), the WAL, and the recovery bookkeeping. Lock hierarchy: owning strand -> batch/wal/recovery mutex ->
 // loop/store-partition mutex; never reversed.
 #ifndef BASIL_SRC_BASIL_REPLICA_H_
 #define BASIL_SRC_BASIL_REPLICA_H_
@@ -115,7 +114,7 @@ class BasilReplica : public Process {
     // partition before the abort vote is published (set by RunConflictChecks).
     std::optional<TxnDigest> conflict_writer;
     // Dependency decisions delivered to this transaction. Recorded even before it
-    // reaches kAwaitDecision: in partitioned mode a dependency may decide while the
+    // reaches kAwaitDecision: a dependency on another partition may decide while the
     // step-7 registration hops are still in flight, and the recorded outcome is
     // consumed by FinishStep7 so the wakeup is never lost.
     std::unordered_map<TxnDigest, Decision, TxnDigestHash> dep_outcomes;
@@ -152,27 +151,20 @@ class BasilReplica : public Process {
   // One execution-state shard: the transactions owned by a partition plus the
   // arrival waiters for those transactions (dep digest -> waiters registered from
   // other partitions). Actor-model: no lock — a Part is only ever touched from its
-  // owning strand (with exec_partitions == 0 everything runs on the loop and there
-  // is exactly one Part).
+  // owning strand.
   struct Part {
     std::unordered_map<TxnDigest, TxnState, TxnDigestHash> txns;
     std::unordered_map<TxnDigest, std::vector<TxnDigest>, TxnDigestHash>
         arrival_waiters;
   };
 
-  bool partitioned() const { return cfg_->exec_partitions > 0; }
   size_t PartOfDigest(const TxnDigest& digest) const {
     return static_cast<size_t>(StrandOfDigest(digest) % parts_.size());
   }
   size_t PartOfKey(const Key& key) const { return store_.PartitionOf(key); }
-  // Runs `fn` on the strand owning partition `part`: inline when partitioning is off
-  // (and always inline on the simulator, whose Post is synchronous — that is what
-  // keeps both modes bit-identical there).
+  // Runs `fn` on the strand owning partition `part` (inline on the simulator, whose
+  // Post is synchronous — that is what keeps any partition count bit-identical).
   void RunOnPart(size_t part, std::function<void()> fn);
-  // Runs `check` and delivers the verdict back on partition `part`'s strand: inline
-  // without the parallel pipeline, the legacy loop-continuation Verify1 when
-  // partitioning is off, and a crypto-pool offload that returns home otherwise.
-  void VerifyOnHome(size_t part, VerifyFn check, std::function<void(bool)> then);
 
   // Both accessors must be called from the digest's owning strand (any thread is
   // fine while the runtime is single-threaded). Entries are never erased, so
@@ -270,7 +262,7 @@ class BasilReplica : public Process {
   Counters counters_;
   obs::TxnTracer tracer_;  // Per-stage latency spans, into runtime().metrics().
 
-  // Execution-state shards, one per partition (exactly one with partitioning off).
+  // Execution-state shards, one per partition.
   // Sized once in the constructor; the vector itself is immutable afterwards, so
   // cross-strand indexing needs no lock.
   std::vector<Part> parts_;
@@ -281,8 +273,8 @@ class BasilReplica : public Process {
     Hash256 digest;
     std::function<void(std::shared_ptr<MsgBase>, BatchCert)> set_cert;
   };
-  // Reply batching is global (one batch stream per replica, like the loop-owned
-  // original — per-partition batches would change batch composition). batch_mu_
+  // Reply batching is global (one batch stream per replica — per-partition batches
+  // would change batch composition with the partition count). batch_mu_
   // guards the four fields below; FlushBatch seals outside the lock.
   std::mutex batch_mu_;
   std::vector<PendingReply> pending_replies_;

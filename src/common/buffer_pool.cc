@@ -11,8 +11,6 @@
 namespace basil {
 namespace {
 
-std::atomic<bool> g_pooling_enabled{true};
-
 // Number of power-of-two classes in [kMinClassBytes, kMaxClassBytes].
 constexpr int kNumClasses = 15;  // 256 B .. 4 MiB.
 
@@ -83,11 +81,6 @@ struct BufferPool::State {
   }
 
   std::vector<uint8_t> Rent(size_t min_capacity) {
-    if (!g_pooling_enabled.load(std::memory_order_relaxed)) {
-      std::vector<uint8_t> buf;
-      buf.reserve(min_capacity);
-      return buf;
-    }
     NoteRented();
     if (min_capacity <= kMaxClassBytes) {
       ClassList& cl = classes[ClassCeil(min_capacity)];
@@ -116,10 +109,6 @@ struct BufferPool::State {
   void Recycle(std::vector<uint8_t>&& buf) {
     if (buf.capacity() == 0) {
       return;  // Moved-from shell (e.g. after Encoder::TakeBytes); nothing rented.
-    }
-    if (!g_pooling_enabled.load(std::memory_order_relaxed)) {
-      std::vector<uint8_t>().swap(buf);
-      return;
     }
     outstanding.fetch_sub(1, std::memory_order_relaxed);
     const size_t cap = buf.capacity();
@@ -199,14 +188,6 @@ BufferPool::Stats BufferPool::stats() const {
   s.outstanding_high_water =
       state_->outstanding_high_water.load(std::memory_order_relaxed);
   return s;
-}
-
-void BufferPool::SetPoolingEnabled(bool on) {
-  g_pooling_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool BufferPool::PoolingEnabled() {
-  return g_pooling_enabled.load(std::memory_order_relaxed);
 }
 
 BufferPool& BufferPool::Global() {

@@ -20,10 +20,9 @@
 //     object itself (the deleter captures the pool's shared state, not the pool).
 //
 // Thread safety: freelists are per-size-class mutexes; counters are relaxed
-// atomics. SetPoolingEnabled(false) turns every Rent into a plain allocation and
-// every Recycle into a free — protocol results must be bit-identical either way
-// (pinned by tests/test_strands.cc), because the pool only changes where bytes
-// live, never what they are.
+// atomics. Pooling is always on; the pool only changes where bytes live, never what
+// they are. Builds with assertions on (the Debug/ASan CI job) poison recycled bytes
+// and abort on a double-return, so a view that outlives its storage shows up there.
 #ifndef BASIL_SRC_COMMON_BUFFER_POOL_H_
 #define BASIL_SRC_COMMON_BUFFER_POOL_H_
 
@@ -76,8 +75,7 @@ class BufferPool {
   BufferPool();
 
   // Rents a cleared buffer with capacity >= min_capacity (possibly more — the
-  // buffer keeps whatever capacity earlier use grew it to). With pooling disabled
-  // this is a plain reserve and no stats are recorded.
+  // buffer keeps whatever capacity earlier use grew it to).
   std::vector<uint8_t> Rent(size_t min_capacity);
 
   // Returns a buffer's storage to its size class (classified by capacity). Empty
@@ -90,11 +88,6 @@ class BufferPool {
   FrameRef RentBlock(size_t min_capacity);
 
   Stats stats() const;
-
-  // Process-wide kill switch (default on), the A/B knob test_strands pins sim
-  // bit-identity against. Checked on every Rent/Recycle.
-  static void SetPoolingEnabled(bool on);
-  static bool PoolingEnabled();
 
   // Shared instance for scratch rentals with no natural owner (digest encoders in
   // protocol code that runs under both runtimes).

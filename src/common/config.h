@@ -96,21 +96,12 @@ struct BasilConfig {
   // behaviour.
   uint32_t wal_fsync_every = 0;
 
-  // Parallel execution pipeline (docs/TRANSPORT.md): route heavy per-transaction
-  // work through Runtime::Post (strand = txn digest) and signature checks through
-  // Runtime::OffloadVerify. On the simulator both run inline, so results are
-  // bit-identical either way (tests/test_strands.cc pins this); on the TCP backend
-  // `false` keeps everything on the event-loop thread for A/B comparison.
-  bool parallel_pipeline = true;
-
-  // Partitioned execution state (docs/TRANSPORT.md "Partitioned state"): shard the
-  // replica's TxnState map (by txn digest) and route handlers end-to-end onto the
-  // owning strand, so state mutation no longer serializes on the event-loop thread.
-  // 0 = off: handlers mutate state in loop/handler context exactly as before. The
-  // sim runs Post inline, so results are bit-identical with any partition count
-  // (tests/test_strands.cc pins this); requires parallel_pipeline on the TCP
-  // backend to actually spread work across strand workers.
-  uint32_t exec_partitions = 0;
+  // Partitioned execution state (docs/TRANSPORT.md "Partitioned execution state"):
+  // the replica's TxnState map is sharded by txn digest into this many partitions
+  // (>= 1; 0 is read as 1), each owned by its strand, and handlers run end-to-end on
+  // the owning strand. The simulator runs Post inline, so results are bit-identical
+  // for any partition count (tests/test_strands.cc pins this).
+  uint32_t exec_partitions = 1;
 
   uint32_t n() const { return 5 * f + 1; }
   uint32_t commit_quorum() const { return 3 * f + 1; }       // CQ = (n+f+1)/2.
@@ -133,12 +124,9 @@ struct TapirConfig {
   uint32_t f = 1;
   uint32_t num_shards = 1;
   uint64_t prepare_timeout_ns = 8'000'000;
-  // Same toggle as BasilConfig::parallel_pipeline: prepare bodies are digest-checked
-  // on a strand keyed by txn digest before the OCC check runs in handler context.
-  bool parallel_pipeline = true;
-  // Same semantics as BasilConfig::exec_partitions: 0 = loop-owned TxnState map,
-  // N = N digest-sharded partitions each owned by its strand.
-  uint32_t exec_partitions = 0;
+  // Same semantics as BasilConfig::exec_partitions: N >= 1 digest-sharded
+  // partitions, each owned by its strand.
+  uint32_t exec_partitions = 1;
 
   uint32_t n() const { return 2 * f + 1; }
   // IR fast quorum ceil(3f/2)+1; slow path needs a simple majority f+1.

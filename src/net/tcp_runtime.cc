@@ -9,6 +9,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -103,6 +104,16 @@ constexpr uint64_t kResidencyWindowNs = 1'000'000'000ull;
 // belongs to exactly one TcpRuntime, so a plain thread_local is unambiguous.
 thread_local CostMeter* tls_scratch_meter = nullptr;
 
+// Runs a verify batch on a crypto worker: one verdict byte per check.
+std::vector<uint8_t> RunChecks(std::vector<VerifyFn>& batch, CostMeter& m) {
+  std::vector<uint8_t> verdicts;
+  verdicts.reserve(batch.size());
+  for (VerifyFn& check : batch) {
+    verdicts.push_back(check(m) ? 1 : 0);
+  }
+  return verdicts;
+}
+
 }  // namespace
 
 TcpRuntime::TcpRuntime(NodeId id, std::vector<PeerAddr> peers, uint32_t workers)
@@ -122,6 +133,7 @@ TcpRuntime::TcpRuntime(NodeId id, std::vector<PeerAddr> peers, uint32_t workers)
   alloc_recycled_bytes_gauge_ = metrics_.RegisterGauge("rt.alloc.recycled_bytes");
   alloc_outstanding_hw_gauge_ =
       metrics_.RegisterGauge("rt.alloc.outstanding_high_water");
+  wire_bytes_gauge_ = metrics_.RegisterGauge("rt.wire.bytes_sent");
   // All strand workers share one wait histogram (ditto crypto): the interesting
   // signal is pipeline-stage backlog, not per-thread skew.
   const obs::MetricId strand_wait = metrics_.RegisterHistogram("rt.strand.queue_wait_ns");
@@ -129,7 +141,7 @@ TcpRuntime::TcpRuntime(NodeId id, std::vector<PeerAddr> peers, uint32_t workers)
   const obs::MetricId crypto_wait = metrics_.RegisterHistogram("rt.crypto.queue_wait_ns");
   const obs::MetricId crypto_depth = metrics_.RegisterGauge("rt.crypto.queue_depth");
   loop_residency_hist_ = metrics_.RegisterHistogram("rt.loop.residency_pct");
-  for (uint32_t i = 0; i < workers; ++i) {
+  for (uint32_t i = 0; i < std::max<uint32_t>(1, workers); ++i) {
     strand_workers_.push_back(std::make_unique<PoolWorker>());
     strand_workers_.back()->wait_hist = strand_wait;
     strand_workers_.back()->depth_gauge = strand_depth;
@@ -154,6 +166,7 @@ void TcpRuntime::PublishAllocMetrics() {
   metrics_.Set(alloc_recycled_gauge_, s.recycled);
   metrics_.Set(alloc_recycled_bytes_gauge_, s.recycled_bytes);
   metrics_.Set(alloc_outstanding_hw_gauge_, s.outstanding_high_water);
+  metrics_.Set(wire_bytes_gauge_, bytes_sent_.load());
 }
 
 uint64_t TcpRuntime::now() const { return MonotonicNowNs(); }
@@ -406,17 +419,6 @@ void TcpRuntime::PoolMain(PoolWorker* worker) {
 
 void TcpRuntime::Post(StrandKey strand, StrandFn work, std::function<void()> then) {
   posted_tasks_.fetch_add(1);
-  if (strand_workers_.empty()) {
-    // No pool: keep the contract (work, then continuation, in the handler context)
-    // on the event loop — the pre-parallel placement.
-    Execute([this, work = std::move(work), then = std::move(then)]() {
-      work(meter_);
-      if (then) {
-        then();
-      }
-    });
-    return;
-  }
   PoolWorker* worker = strand_workers_[strand % strand_workers_.size()].get();
   EnqueuePool(worker, [this, work = std::move(work),
                        then = std::move(then)](CostMeter& m) {
@@ -429,29 +431,12 @@ void TcpRuntime::Post(StrandKey strand, StrandFn work, std::function<void()> the
 
 void TcpRuntime::OffloadVerify(std::vector<VerifyFn> batch,
                                std::function<void(std::vector<uint8_t>)> done) {
-  if (crypto_workers_.empty()) {
-    // No pool: verify inline on the caller (the event-loop thread), synchronously —
-    // exactly the pre-parallel behaviour.
-    inline_checks_.fetch_add(batch.size());
-    std::vector<uint8_t> verdicts;
-    verdicts.reserve(batch.size());
-    for (VerifyFn& check : batch) {
-      verdicts.push_back(check(meter_) ? 1 : 0);
-    }
-    done(std::move(verdicts));
-    return;
-  }
   offloaded_checks_.fetch_add(batch.size());
   PoolWorker* worker =
       crypto_workers_[crypto_rr_.fetch_add(1) % crypto_workers_.size()].get();
   EnqueuePool(worker, [this, batch = std::move(batch),
                        done = std::move(done)](CostMeter& m) mutable {
-    std::vector<uint8_t> verdicts;
-    verdicts.reserve(batch.size());
-    for (VerifyFn& check : batch) {
-      verdicts.push_back(check(m) ? 1 : 0);
-    }
-    Execute([done = std::move(done), verdicts = std::move(verdicts)]() mutable {
+    Execute([done = std::move(done), verdicts = RunChecks(batch, m)]() mutable {
       done(std::move(verdicts));
     });
   });
@@ -459,32 +444,15 @@ void TcpRuntime::OffloadVerify(std::vector<VerifyFn> batch,
 
 void TcpRuntime::OffloadVerifyTo(StrandKey home, std::vector<VerifyFn> batch,
                                  std::function<void(std::vector<uint8_t>)> done) {
-  if (crypto_workers_.empty() || strand_workers_.empty()) {
-    // No pools: the caller context is the only context. Verify inline so the
-    // continuation runs exactly where the handler already is.
-    inline_checks_.fetch_add(batch.size());
-    std::vector<uint8_t> verdicts;
-    verdicts.reserve(batch.size());
-    for (VerifyFn& check : batch) {
-      verdicts.push_back(check(meter()) ? 1 : 0);
-    }
-    done(std::move(verdicts));
-    return;
-  }
   offloaded_checks_.fetch_add(batch.size());
   PoolWorker* worker =
       crypto_workers_[crypto_rr_.fetch_add(1) % crypto_workers_.size()].get();
   EnqueuePool(worker, [this, home, batch = std::move(batch),
                        done = std::move(done)](CostMeter& m) mutable {
-    std::vector<uint8_t> verdicts;
-    verdicts.reserve(batch.size());
-    for (VerifyFn& check : batch) {
-      verdicts.push_back(check(m) ? 1 : 0);
-    }
     // Home-return: the verdict continuation goes back to the owning strand, not
     // the event loop — the partitioned-state contract (docs/TRANSPORT.md).
     Post(home, [done = std::move(done),
-                verdicts = std::move(verdicts)](CostMeter&) mutable {
+                verdicts = RunChecks(batch, m)](CostMeter&) mutable {
       done(std::move(verdicts));
     });
   });

@@ -8,12 +8,12 @@
 //     Protocol state therefore needs no locking, exactly as on the simulator backend.
 //   - N strand workers (the `workers` constructor argument) run Post() work items:
 //     strand key -> worker by modulo, so tasks on one strand are FIFO-serialized on
-//     one thread while distinct strands use distinct cores. With workers == 0 the
-//     pool is absent and Post work runs on the event loop (the pre-parallel model).
+//     one thread while distinct strands use distinct cores. There is always at
+//     least one strand worker.
 //   - A dedicated crypto pool (same size as the worker pool) runs OffloadVerify
 //     batches, so Ed25519/HMAC signature verification never blocks the event loop;
-//     verdicts are marshalled back to the loop via Execute. With no pool, checks run
-//     inline on the caller.
+//     verdicts are marshalled back to the loop via Execute (OffloadVerify) or to the
+//     issuing strand via Post (OffloadVerifyTo).
 //   - One acceptor thread owns the listening socket. Each accepted connection gets a
 //     reader thread that reassembles frames (partial reads included) and posts decoded
 //     messages to the event loop.
@@ -70,9 +70,9 @@ class TcpRuntime : public Runtime {
  public:
   // `peers` is the full node table indexed by NodeId; peers[id] is this node's own
   // listen address. `workers` sizes both the strand worker pool and the crypto
-  // offload pool (0 = no pools: all work on the event loop, the pre-parallel
-  // behaviour). Call Start() to begin accepting and delivering.
-  TcpRuntime(NodeId id, std::vector<PeerAddr> peers, uint32_t workers = 0);
+  // offload pool; values below 1 are raised to 1. Call Start() to begin accepting
+  // and delivering.
+  TcpRuntime(NodeId id, std::vector<PeerAddr> peers, uint32_t workers = 1);
   ~TcpRuntime() override;
 
   // Binds the listen socket, then launches the event loop and acceptor threads.
@@ -132,7 +132,9 @@ class TcpRuntime : public Runtime {
   // bench uses these to prove signature verification left the event-loop thread.
   uint64_t posted_tasks() const { return posted_tasks_.load(); }
   uint64_t offloaded_checks() const { return offloaded_checks_.load(); }
-  uint64_t inline_checks() const { return inline_checks_.load(); }
+  // Always 0: every signature check runs on the crypto pool. Kept only because
+  // perfbench/basil_perf.cc still sums it into tcp.verifies_per_txn.
+  uint64_t inline_checks() const { return 0; }
   // Frames shed by DoSend when a peer's outbox hit its cap. Nonzero means the
   // deployment lost messages to backpressure — quorums mask it, benches assert 0.
   uint64_t dropped_frames() const { return dropped_frames_.load(); }
@@ -141,9 +143,10 @@ class TcpRuntime : public Runtime {
   // all rent from here. Exposed for benches that want hit-rate numbers.
   const BufferPool& pool() const { return pool_; }
 
-  // Copies the pool's live counters into the rt.alloc.* gauges. The pool itself
-  // never touches the registry (frame deleters may run after it is gone), so
-  // snapshots call this just before reading metrics().
+  // Copies the pool's live counters into the rt.alloc.* gauges and bytes_sent()
+  // into the rt.wire.bytes_sent gauge. The pool itself never touches the registry
+  // (frame deleters may run after it is gone) and the send path only bumps its
+  // atomic, so snapshots call this just before reading metrics().
   void PublishAllocMetrics();
 
  protected:
@@ -257,7 +260,7 @@ class TcpRuntime : public Runtime {
   std::vector<std::unique_ptr<Peer>> peer_state_;
 
   // Strand workers (Post) and the crypto offload pool (OffloadVerify). Sized by the
-  // `workers` constructor argument; empty pools degrade to the event loop / inline.
+  // `workers` constructor argument (at least one worker each).
   std::vector<std::unique_ptr<PoolWorker>> strand_workers_;
   std::vector<std::unique_ptr<PoolWorker>> crypto_workers_;
   std::atomic<uint64_t> crypto_rr_{0};  // Round-robin cursor over crypto_workers_.
@@ -269,7 +272,6 @@ class TcpRuntime : public Runtime {
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> posted_tasks_{0};
   std::atomic<uint64_t> offloaded_checks_{0};
-  std::atomic<uint64_t> inline_checks_{0};
   std::atomic<uint64_t> dropped_frames_{0};
 
   // Size-classed frame pool shared by the send path (Encoder scratch, outbox
@@ -285,14 +287,16 @@ class TcpRuntime : public Runtime {
   obs::MetricId loop_depth_gauge_ = obs::kInvalidMetric;
   obs::MetricId writer_frames_gauge_ = obs::kInvalidMetric;
   obs::MetricId writer_bytes_gauge_ = obs::kInvalidMetric;
-  // Backpressure drops (counter, Inc'd at the shed site) and pool counters
-  // (gauges, filled by PublishAllocMetrics from BufferPool::stats()).
+  // Backpressure drops (counter, Inc'd at the shed site), pool counters and bytes
+  // sent (gauges, filled by PublishAllocMetrics from BufferPool::stats() and
+  // bytes_sent_).
   obs::MetricId writer_dropped_counter_ = obs::kInvalidMetric;
   obs::MetricId alloc_hits_gauge_ = obs::kInvalidMetric;
   obs::MetricId alloc_misses_gauge_ = obs::kInvalidMetric;
   obs::MetricId alloc_recycled_gauge_ = obs::kInvalidMetric;
   obs::MetricId alloc_recycled_bytes_gauge_ = obs::kInvalidMetric;
   obs::MetricId alloc_outstanding_hw_gauge_ = obs::kInvalidMetric;
+  obs::MetricId wire_bytes_gauge_ = obs::kInvalidMetric;
   // Self-sampled busy fraction of the event loop (percent, ~1 s windows): with
   // partitioned state the loop should be mostly demux + send, so this histogram is
   // the "loop went idle" proof (docs/OBSERVABILITY.md).

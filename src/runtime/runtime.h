@@ -110,8 +110,8 @@ class Runtime {
   // The default implementation is the simulator's: both closures run inline,
   // synchronously, charging the node meter. Parallelism there is already modeled by
   // the k-worker CPU queue dispatching concurrent *messages* (sim::Node), so inline
-  // execution keeps simulated results bit-identical to pre-strand code while the
-  // same protocol source exploits real cores on TcpRuntime.
+  // execution keeps simulated results independent of strand keys and partition
+  // counts while the same protocol source exploits real cores on TcpRuntime.
   virtual void Post(StrandKey strand, StrandFn work, std::function<void()> then = {}) {
     (void)strand;  // One handler context: every strand is trivially serialized.
     work(meter());
@@ -137,10 +137,10 @@ class Runtime {
 
   // OffloadVerifyTo: like OffloadVerify, but `done` runs on the strand selected by
   // `home` instead of the handler context. This is the partitioned-state variant
-  // (docs/TRANSPORT.md "Partitioned state"): a handler running on its owning strand
+  // (docs/TRANSPORT.md "Partitioned execution state"): a handler running on its owning strand
   // offloads a signature check and continues on the same strand when the verdict
-  // lands, never touching the loop thread. Default: inline and synchronous (the
-  // simulator and the single-threaded TCP fallback), identical to OffloadVerify.
+  // lands, never touching the loop thread. Default (the simulator's): inline and
+  // synchronous, identical to OffloadVerify.
   virtual void OffloadVerifyTo(StrandKey home, std::vector<VerifyFn> batch,
                                std::function<void(std::vector<uint8_t>)> done) {
     (void)home;  // One handler context: the home strand is where we already are.
@@ -221,17 +221,6 @@ class Process : public MsgHandler {
                          [then = std::move(then)](std::vector<uint8_t> verdicts) {
                            then(!verdicts.empty() && verdicts[0] != 0);
                          });
-  }
-  // Runs one heavy signature check through the runtime's crypto offload, then
-  // `then` with the verdict back in the handler context. `parallel` is the
-  // protocol's parallel_pipeline knob: false verifies inline, synchronously (the
-  // pre-pipeline placement, and the A/B arm of tests/test_strands.cc).
-  void VerifyThen(bool parallel, VerifyFn check, std::function<void(bool)> then) {
-    if (!parallel) {
-      then(check(rt_->meter()));
-      return;
-    }
-    rt_->Verify1(std::move(check), std::move(then));
   }
   EventId SetTimer(uint64_t delay_ns, std::function<void()> cb) {
     return rt_->SetTimer(delay_ns, std::move(cb));

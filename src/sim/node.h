@@ -13,7 +13,7 @@
 // own work item dispatched to the earliest-free simulated worker, so cross-message
 // parallelism (including parallel signature verification) is modeled by the CPU
 // queue, while inline execution keeps event order — and therefore every simulated
-// result — bit-identical to the pre-strand code. tests/test_strands.cc pins this.
+// result — independent of the partition count. tests/test_strands.cc pins this.
 #ifndef BASIL_SRC_SIM_NODE_H_
 #define BASIL_SRC_SIM_NODE_H_
 

@@ -150,10 +150,6 @@ void TapirReplica::Handle(const MsgEnvelope& env) {
 }
 
 void TapirReplica::RunOnPart(size_t part, std::function<void()> fn) {
-  if (!partitioned()) {
-    fn();
-    return;
-  }
   Post(static_cast<StrandKey>(part), [fn = std::move(fn)](CostMeter&) { fn(); });
 }
 
@@ -206,20 +202,10 @@ void TapirReplica::OnPrepare(NodeId src, std::shared_ptr<const TapirPrepareMsg> 
   if (msg->txn == nullptr) {
     return;
   }
-  if (partitioned()) {
-    // Hash check and the full intake run on the owning strand — one hop, end-to-end.
-    RunOnPart(PartOfDigest(msg->txn->id), [this, src, msg]() {
-      const uint64_t t0 = now();
-      if (!PrepareBodyDigestOk(*msg)) {
-        counters_.Inc("prepare_bad_digest");
-        return;
-      }
-      tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-      PrepareArrived(src, msg);
-    });
-    return;
-  }
-  if (!cfg_->parallel_pipeline) {
+  // Hash check and the full intake run on the owning strand — one hop, end-to-end.
+  RunOnPart(PartOfDigest(msg->txn->id), [this, src, msg]() {
+    // Duration is 0 on the simulator (virtual time does not advance inside a work
+    // item); now() is thread-safe on both backends.
     const uint64_t t0 = now();
     if (!PrepareBodyDigestOk(*msg)) {
       counters_.Inc("prepare_bad_digest");
@@ -227,28 +213,7 @@ void TapirReplica::OnPrepare(NodeId src, std::shared_ptr<const TapirPrepareMsg> 
     }
     tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
     PrepareArrived(src, msg);
-    return;
-  }
-  // Hash the body on the transaction's strand; the OCC check and every store
-  // mutation continue in the handler context (inline and in unchanged order on the
-  // simulator, off the event loop on the TCP backend).
-  auto body_ok = std::make_shared<bool>(false);
-  Post(
-      StrandOfDigest(msg->txn->id),
-      [this, msg, body_ok](CostMeter&) {
-        // Duration is 0 on the simulator (virtual time does not advance inside a
-        // work item); now() is thread-safe on both backends.
-        const uint64_t t0 = now();
-        *body_ok = PrepareBodyDigestOk(*msg);
-        tracer_.Record(obs::Stage::kSt1DigestCheck, msg->txn->id, now() - t0);
-      },
-      [this, src, msg, body_ok]() {
-        if (!*body_ok) {
-          counters_.Inc("prepare_bad_digest");
-          return;
-        }
-        PrepareArrived(src, msg);
-      });
+  });
 }
 
 void TapirReplica::PrepareArrived(NodeId src,

@@ -115,17 +115,13 @@ class TapirReplica : public Process {
 
  private:
   void OnRead(NodeId src, std::shared_ptr<const TapirReadMsg> msg);
-  // Prepare intake is two-stage (docs/TRANSPORT.md): the body's digest is verified
-  // on the strand of the claimed txn digest (pure hashing, parallel across
-  // transactions on the TCP backend), then the OCC check and store mutation run in
-  // the handler context — hence the shared_ptr, which outlives the handler.
-  //
-  // With exec_partitions > 0 (docs/TRANSPORT.md "Partitioned execution state") the
-  // whole handler instead runs on the owning strand: prepares/finalizes/decides on
-  // the strand of the txn digest, reads on the strand of the key's store partition.
-  // Tapir transactions carry no cross-transaction dependencies, so unlike Basil no
-  // handler ever hops between partitions. The simulator runs Post inline, so
-  // partitioning cannot change sim results.
+  // Partitioned execution state (docs/TRANSPORT.md "Partitioned execution state"):
+  // every handler runs on its owning strand — prepares/finalizes/decides on the
+  // strand of the txn digest (the prepare body's digest check included), reads on
+  // the strand of the key's store partition. Tapir transactions carry no
+  // cross-transaction dependencies, so unlike Basil no handler ever hops between
+  // partitions. The simulator runs Post inline, so the partition count cannot change
+  // sim results. Handlers take the message by shared_ptr, which outlives the handler.
   void OnPrepare(NodeId src, std::shared_ptr<const TapirPrepareMsg> msg);
   void PrepareArrived(NodeId src, const std::shared_ptr<const TapirPrepareMsg>& msg);
   void OnFinalize(NodeId src, std::shared_ptr<const TapirFinalizeMsg> msg);
@@ -146,16 +142,15 @@ class TapirReplica : public Process {
     bool decided = false;
   };
   // One shard of transaction state, owned by the strand of the same index. Only
-  // that strand (or the handler context when partitioning is off) touches it.
+  // that strand touches it.
   struct Part {
     std::unordered_map<TxnDigest, TxnState, TxnDigestHash> txns;
   };
 
-  bool partitioned() const { return cfg_->exec_partitions > 0; }
   size_t PartOfDigest(const TxnDigest& digest) const {
     return static_cast<size_t>(StrandOfDigest(digest) % parts_.size());
   }
-  // Runs `fn` inline when partitioning is off, else on the strand owning `part`.
+  // Runs `fn` on the strand owning `part` (inline on the simulator).
   void RunOnPart(size_t part, std::function<void()> fn);
   TxnState& GetState(const TxnDigest& digest) {
     return parts_[PartOfDigest(digest)].txns[digest];

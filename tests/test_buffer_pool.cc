@@ -15,15 +15,7 @@
 namespace basil {
 namespace {
 
-// Every test in this file assumes pooling is on; restore it even on failure so
-// test order never matters.
-class BufferPoolTest : public ::testing::Test {
- protected:
-  void SetUp() override { BufferPool::SetPoolingEnabled(true); }
-  void TearDown() override { BufferPool::SetPoolingEnabled(true); }
-};
-
-TEST_F(BufferPoolTest, RentIsClearedAndClassSized) {
+TEST(BufferPoolTest, RentIsClearedAndClassSized) {
   BufferPool pool;
   std::vector<uint8_t> buf = pool.Rent(1);
   EXPECT_EQ(buf.size(), 0u);
@@ -38,7 +30,7 @@ TEST_F(BufferPoolTest, RentIsClearedAndClassSized) {
   EXPECT_EQ(s.outstanding, 2u);
 }
 
-TEST_F(BufferPoolTest, RecycleThenRentReusesTheSameStorage) {
+TEST(BufferPoolTest, RecycleThenRentReusesTheSameStorage) {
   BufferPool pool;
   std::vector<uint8_t> buf = pool.Rent(512);
   buf.assign(100, 0x5A);
@@ -57,7 +49,7 @@ TEST_F(BufferPoolTest, RecycleThenRentReusesTheSameStorage) {
   pool.Recycle(std::move(again));
 }
 
-TEST_F(BufferPoolTest, EncoderTakeBytesLeavesHarmlessShell) {
+TEST(BufferPoolTest, EncoderTakeBytesLeavesHarmlessShell) {
   BufferPool pool;
   std::vector<uint8_t> taken;
   {
@@ -71,7 +63,7 @@ TEST_F(BufferPoolTest, EncoderTakeBytesLeavesHarmlessShell) {
   EXPECT_EQ(pool.stats().outstanding, 0u);
 }
 
-TEST_F(BufferPoolTest, RentBlockRecyclesWhenLastRefDrops) {
+TEST(BufferPoolTest, RentBlockRecyclesWhenLastRefDrops) {
   BufferPool pool;
   const uint8_t* storage = nullptr;
   {
@@ -90,7 +82,7 @@ TEST_F(BufferPoolTest, RentBlockRecyclesWhenLastRefDrops) {
   pool.Recycle(std::move(again));
 }
 
-TEST_F(BufferPoolTest, BlockOutlivesThePoolObject) {
+TEST(BufferPoolTest, BlockOutlivesThePoolObject) {
   FrameRef block;
   {
     auto pool = std::make_unique<BufferPool>();
@@ -104,7 +96,7 @@ TEST_F(BufferPoolTest, BlockOutlivesThePoolObject) {
   block.reset();
 }
 
-TEST_F(BufferPoolTest, OversizeRequestsBypassTheFreelists) {
+TEST(BufferPoolTest, OversizeRequestsBypassTheFreelists) {
   BufferPool pool;
   std::vector<uint8_t> giant = pool.Rent(BufferPool::kMaxClassBytes + 1);
   EXPECT_GE(giant.capacity(), BufferPool::kMaxClassBytes + 1);
@@ -119,7 +111,7 @@ TEST_F(BufferPoolTest, OversizeRequestsBypassTheFreelists) {
   pool.Recycle(std::move(fresh));
 }
 
-TEST_F(BufferPoolTest, IdleCapFreesExcessStorage) {
+TEST(BufferPoolTest, IdleCapFreesExcessStorage) {
   BufferPool pool;
   // The 4 MiB class retains at most kMaxIdleBytesPerClass = 8 MiB: two buffers.
   std::vector<std::vector<uint8_t>> bufs;
@@ -134,19 +126,7 @@ TEST_F(BufferPoolTest, IdleCapFreesExcessStorage) {
   EXPECT_EQ(s.outstanding, 0u);
 }
 
-TEST_F(BufferPoolTest, DisabledPoolingIsPlainAllocation) {
-  BufferPool pool;
-  BufferPool::SetPoolingEnabled(false);
-  std::vector<uint8_t> buf = pool.Rent(512);
-  EXPECT_GE(buf.capacity(), 512u);
-  buf.assign(16, 0x33);
-  pool.Recycle(std::move(buf));
-
-  const BufferPool::Stats s = pool.stats();  // Disabled traffic records nothing.
-  EXPECT_EQ(s.hits + s.misses + s.recycled + s.outstanding, 0u);
-}
-
-TEST_F(BufferPoolTest, OutstandingHighWaterTracksPeak) {
+TEST(BufferPoolTest, OutstandingHighWaterTracksPeak) {
   BufferPool pool;
   std::vector<std::vector<uint8_t>> held;
   for (int i = 0; i < 5; ++i) {
@@ -163,7 +143,7 @@ TEST_F(BufferPoolTest, OutstandingHighWaterTracksPeak) {
 // Shared-pool hammer: rents of varied classes, writes into the storage, plain
 // recycles and shared-block drops from several threads at once. Run under TSan in
 // CI; any freelist race or double-handout shows up as a data race or guard abort.
-TEST_F(BufferPoolTest, ConcurrentRentRecycleHammer) {
+TEST(BufferPoolTest, ConcurrentRentRecycleHammer) {
   BufferPool pool;
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
@@ -195,7 +175,7 @@ TEST_F(BufferPoolTest, ConcurrentRentRecycleHammer) {
 }
 
 #ifndef NDEBUG
-TEST_F(BufferPoolTest, DoubleReturnAbortsUnderDebugGuards) {
+TEST(BufferPoolTest, DoubleReturnAbortsUnderDebugGuards) {
   ASSERT_TRUE(BufferPool::debug_guards_enabled());
   BufferPool pool;
   ASSERT_DEATH(pool.DebugForceDoubleReturnForTest(), "double return");

@@ -1,8 +1,8 @@
 // The strand/offload contract on the simulator backend (src/runtime/runtime.h):
-// Post and OffloadVerify run inline and synchronously, so enabling the parallel
-// pipeline must not change a single simulated outcome. These tests pin that — the
-// tier-1 substrate stays deterministic and bit-identical with strands on — plus the
-// base-class execution semantics the contract rests on.
+// Post and OffloadVerify run inline and synchronously, so the partition count must
+// not change a single simulated outcome. These tests pin that — the tier-1
+// substrate stays deterministic and bit-identical — plus the base-class execution
+// semantics the contract rests on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,23 +44,6 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.replicas.values(), b.replicas.values());
 }
 
-TEST(Strands, PipelineDoesNotChangeBasilResults) {
-  ExperimentParams params;
-  params.system = SystemKind::kBasil;
-  params.clients = 8;
-  params.warmup_ns = 100'000'000;
-  params.measure_ns = 400'000'000;
-  params.seed = 7;
-
-  params.basil.parallel_pipeline = true;
-  const RunResult with_strands = RunExperiment(params);
-  params.basil.parallel_pipeline = false;
-  const RunResult inline_exec = RunExperiment(params);
-
-  EXPECT_GT(with_strands.committed, 0u);
-  ExpectBitIdentical(with_strands, inline_exec);
-}
-
 TEST(Strands, PipelineIsDeterministicAcrossRuns) {
   ExperimentParams params;
   params.system = SystemKind::kBasil;
@@ -68,7 +51,6 @@ TEST(Strands, PipelineIsDeterministicAcrossRuns) {
   params.warmup_ns = 100'000'000;
   params.measure_ns = 300'000'000;
   params.seed = 21;
-  params.basil.parallel_pipeline = true;
 
   const RunResult a = RunExperiment(params);
   const RunResult b = RunExperiment(params);
@@ -86,7 +68,6 @@ TEST(Strands, MetricsRecordingDoesNotChangeResults) {
   params.warmup_ns = 100'000'000;
   params.measure_ns = 400'000'000;
   params.seed = 7;
-  params.basil.parallel_pipeline = true;
 
   const RunResult with_metrics = RunExperiment(params);
   obs::SetGlobalEnabled(false);
@@ -97,69 +78,25 @@ TEST(Strands, MetricsRecordingDoesNotChangeResults) {
   ExpectBitIdentical(with_metrics, without_metrics);
 }
 
-TEST(Strands, BufferPoolingDoesNotChangeResults) {
-  // The buffer pool only changes where bytes live, never what they are
-  // (src/common/buffer_pool.h): digest scratch encoders and frame blocks rent
-  // pooled storage, but every encoding and digest must come out bit-identical
-  // with pooling disabled.
-  ExperimentParams params;
-  params.system = SystemKind::kBasil;
-  params.clients = 8;
-  params.warmup_ns = 100'000'000;
-  params.measure_ns = 400'000'000;
-  params.seed = 7;
-  params.basil.parallel_pipeline = true;
-
-  ASSERT_TRUE(BufferPool::PoolingEnabled());
-  const RunResult pooled = RunExperiment(params);
-  BufferPool::SetPoolingEnabled(false);
-  const RunResult unpooled = RunExperiment(params);
-  BufferPool::SetPoolingEnabled(true);
-
-  EXPECT_GT(pooled.committed, 0u);
-  ExpectBitIdentical(pooled, unpooled);
-}
-
-TEST(Strands, PipelineDoesNotChangeTapirResults) {
-  ExperimentParams params;
-  params.system = SystemKind::kTapir;
-  params.clients = 6;
-  params.warmup_ns = 100'000'000;
-  params.measure_ns = 300'000'000;
-  params.seed = 11;
-
-  params.tapir.parallel_pipeline = true;
-  const RunResult with_strands = RunExperiment(params);
-  params.tapir.parallel_pipeline = false;
-  const RunResult inline_exec = RunExperiment(params);
-
-  EXPECT_GT(with_strands.committed, 0u);
-  ExpectBitIdentical(with_strands, inline_exec);
-}
-
 TEST(Strands, PartitionedStateDoesNotChangeBasilResults) {
   // Partitioned execution state (docs/TRANSPORT.md): sharding the TxnState map and
-  // the version store by strand key reroutes every handler through RunOnPart, which
+  // the version store by strand key routes every handler through RunOnPart, which
   // is inline on the simulator — so any partition count must reproduce the
-  // unpartitioned run counter for counter, with the pipeline on or off.
+  // single-partition run counter for counter.
   ExperimentParams params;
   params.system = SystemKind::kBasil;
   params.clients = 8;
   params.warmup_ns = 100'000'000;
   params.measure_ns = 400'000'000;
   params.seed = 7;
-  params.basil.parallel_pipeline = true;
 
-  params.basil.exec_partitions = 0;
-  const RunResult unpartitioned = RunExperiment(params);
+  params.basil.exec_partitions = 1;
+  const RunResult one_part = RunExperiment(params);
   params.basil.exec_partitions = 4;
-  const RunResult partitioned = RunExperiment(params);
-  params.basil.parallel_pipeline = false;
-  const RunResult partitioned_inline = RunExperiment(params);
+  const RunResult four_parts = RunExperiment(params);
 
-  EXPECT_GT(unpartitioned.committed, 0u);
-  ExpectBitIdentical(partitioned, unpartitioned);
-  ExpectBitIdentical(partitioned_inline, unpartitioned);
+  EXPECT_GT(one_part.committed, 0u);
+  ExpectBitIdentical(four_parts, one_part);
 }
 
 TEST(Strands, PartitionedStateDoesNotChangeTapirResults) {
@@ -169,15 +106,14 @@ TEST(Strands, PartitionedStateDoesNotChangeTapirResults) {
   params.warmup_ns = 100'000'000;
   params.measure_ns = 300'000'000;
   params.seed = 11;
-  params.tapir.parallel_pipeline = true;
 
-  params.tapir.exec_partitions = 0;
-  const RunResult unpartitioned = RunExperiment(params);
+  params.tapir.exec_partitions = 1;
+  const RunResult one_part = RunExperiment(params);
   params.tapir.exec_partitions = 4;
-  const RunResult partitioned = RunExperiment(params);
+  const RunResult four_parts = RunExperiment(params);
 
-  EXPECT_GT(unpartitioned.committed, 0u);
-  ExpectBitIdentical(partitioned, unpartitioned);
+  EXPECT_GT(one_part.committed, 0u);
+  ExpectBitIdentical(four_parts, one_part);
 }
 
 TEST(Strands, SimBackendRunsPostInlineAndSynchronously) {

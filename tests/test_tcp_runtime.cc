@@ -322,14 +322,15 @@ TEST(TcpRuntime, OffloadVerifyLeavesTheLoopAndMarshalsBack) {
   EXPECT_EQ(done_id, loop_id);   // Verdicts delivered in the handler context.
   EXPECT_EQ(verdicts, (std::vector<uint8_t>{1, 0}));
   EXPECT_EQ(rt->offloaded_checks(), 2u);
-  EXPECT_EQ(rt->inline_checks(), 0u);
   rt->Stop();
 }
 
-TEST(TcpRuntime, ZeroWorkersKeepsEverythingOnTheLoop) {
+TEST(TcpRuntime, ZeroWorkersStillRunsPoolsOffTheLoop) {
+  // There is no loop-only mode: a request for zero workers is raised to one, and
+  // strand work and signature checks still leave the event loop.
   auto rt = UpSolo(/*workers=*/0);
   ASSERT_NE(rt, nullptr);
-  EXPECT_EQ(rt->workers(), 0u);
+  EXPECT_EQ(rt->workers(), 1u);
 
   std::atomic<bool> ids_captured{false};
   std::thread::id loop_id;
@@ -345,17 +346,22 @@ TEST(TcpRuntime, ZeroWorkersKeepsEverythingOnTheLoop) {
       9, [&](CostMeter&) { work_id = std::this_thread::get_id(); },
       [&]() { done.store(true); });
   ASSERT_TRUE(SpinUntil([&]() { return done.load(); }));
-  EXPECT_EQ(work_id, loop_id);  // No pool: strand work degrades to the loop.
+  EXPECT_NE(work_id, loop_id);
 
   std::atomic<bool> verified{false};
-  rt->OffloadVerify({[](CostMeter&) { return true; }},
-                    [&](std::vector<uint8_t> v) {
-                      ASSERT_EQ(v.size(), 1u);
-                      verified.store(v[0] != 0);
-                    });
-  // No pool: OffloadVerify is synchronous on the caller.
-  EXPECT_TRUE(verified.load());
-  EXPECT_EQ(rt->inline_checks(), 1u);
+  std::thread::id check_id;
+  rt->OffloadVerify(
+      {[&](CostMeter&) {
+        check_id = std::this_thread::get_id();
+        return true;
+      }},
+      [&](std::vector<uint8_t> v) {
+        ASSERT_EQ(v.size(), 1u);
+        verified.store(v[0] != 0);
+      });
+  ASSERT_TRUE(SpinUntil([&]() { return verified.load(); }));
+  EXPECT_NE(check_id, loop_id);
+  EXPECT_EQ(rt->offloaded_checks(), 1u);
   rt->Stop();
 }
 

@@ -50,10 +50,9 @@ struct Options {
   std::string config;
   NodeId id = kInvalidNode;
   std::string data_dir;    // Replica role: durable store root (empty = in-memory only).
-  uint32_t workers = 0;    // Strand + crypto pool threads (0 = event loop only).
-  // Replica role: execution-state partitions (docs/TRANSPORT.md). UINT32_MAX =
-  // default to --workers (one partition per strand worker); 0 = loop-owned state.
-  uint32_t partitions = UINT32_MAX;
+  // Strand + crypto pool threads (>= 1); replicas also run one execution-state
+  // partition per strand worker (docs/TRANSPORT.md).
+  uint32_t workers = 2;
   uint64_t txns = 1000;    // Client role: transactions to commit before exiting.
   uint32_t keys = 16;      // Client role: key-space width.
   uint64_t timeout_s = 120;  // Client role: overall deadline.
@@ -113,12 +112,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
         return false;
       }
       opt->workers = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--partitions") {
-      const char* v = next();
-      if (v == nullptr) {
-        return false;
-      }
-      opt->partitions = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
     } else if (arg == "--metrics-out") {
       const char* v = next();
       if (v == nullptr) {
@@ -244,11 +237,9 @@ Task<void> RunDriver(BasilClient* client, const Options* opt, DriverState* state
 int RunReplica(const DeployConfig& cfg, TcpRuntime& rt, const Topology& topo,
                const KeyRegistry& keys, const Options& opt) {
   const uint64_t start_ns = NowNs();
-  // --partitions defaults to one execution partition per strand worker; 0 keeps the
-  // legacy loop-owned state. The config copy outlives the replica.
+  // One execution partition per strand worker. The config copy outlives the replica.
   BasilConfig basil_cfg = cfg.basil;
-  basil_cfg.exec_partitions =
-      opt.partitions == UINT32_MAX ? opt.workers : opt.partitions;
+  basil_cfg.exec_partitions = rt.workers();
   BasilReplica replica(&rt, &basil_cfg, &topo, &keys);
 
   // Durable store: replay the WAL + snapshot into the version store before any
@@ -518,7 +509,7 @@ int Main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &opt)) {
     std::fprintf(stderr,
                  "usage: basil_node --config <file> --id <node> [--data-dir D] "
-                 "[--workers W] [--partitions P] [--txns N] [--keys K] "
+                 "[--workers W] [--txns N] [--keys K] "
                  "[--timeout S] [--metrics-out PATH] [--metrics-interval S] "
                  "[--gateway [--sessions N] [--lanes K]]\n");
     return 1;

@@ -8,7 +8,8 @@
 // Merging is exact: histogram bucket counts add across processes, so the aggregated
 // p50/p95/p99 come from the merged distribution, never from averaging per-process
 // percentiles. Cluster throughput is derived from the client snapshots' protocol
-// counters ("commits") over the longest client uptime.
+// counters ("commits") over the longest client uptime; wire bytes are the sum of
+// every snapshot's rt.wire.bytes_sent gauge.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -135,6 +136,7 @@ int Main(int argc, char** argv) {
   uint64_t commits = 0;
   uint64_t aborts = 0;
   uint64_t client_uptime_ns = 0;
+  uint64_t wire_bytes = 0;
   uint64_t replicas = 0;
   uint64_t clients = 0;
   for (const std::string& path : inputs) {
@@ -147,6 +149,11 @@ int Main(int argc, char** argv) {
       continue;
     }
     IngestRegistry(root, &merged);
+    // Gauges merge as a max; bytes sent add across processes instead.
+    if (const obs::JsonValue* g = root.Find("gauges")->Find("rt.wire.bytes_sent");
+        g != nullptr && g->Find("value") != nullptr) {
+      wire_bytes += g->Find("value")->AsU64();
+    }
     const obs::JsonValue* role = root.Find("role");
     const obs::JsonValue* proto = root.Find("proto");
     const uint64_t uptime = root.Find("uptime_ns")->AsU64();
@@ -180,6 +187,9 @@ int Main(int argc, char** argv) {
   rr.tput_tps = client_uptime_ns > 0 ? static_cast<double>(commits) * 1e9 /
                                            static_cast<double>(client_uptime_ns)
                                      : 0;
+  rr.wire_bytes = wire_bytes;
+  rr.wire_bytes_per_txn =
+      commits > 0 ? static_cast<double>(wire_bytes) / static_cast<double>(commits) : 0;
   // Latency comes from the merged client commit-span histogram (exact bucket
   // sums across processes), so the cluster row carries real percentiles
   // instead of zeros.
